@@ -36,8 +36,8 @@ from repro.core.batch import solve_many
 from repro.core.greedy import greedy_diversify
 from repro.core.local_search import (
     LocalSearchConfig,
+    _scan_swaps_kernel,
     _scan_swaps_reference,
-    _scan_swaps_vectorized,
     local_search_diversify,
 )
 from repro.core.objective import Objective
@@ -92,8 +92,8 @@ def test_swap_scan_speedup(benchmark):
     weights, matrix = kernels.matrix_fast_path(objective)
 
     def vectorized_scan():
-        return _scan_swaps_vectorized(
-            objective, matroid, selected, tracker, 0.0, weights, matrix
+        return _scan_swaps_kernel(
+            objective, matroid, selected, tracker, 0.0, matrix, weights
         )
 
     # Min over several rounds on both sides: background load on a shared CI

@@ -106,13 +106,14 @@ def greedy_diversify(
         of the non-oblivious potential.  Provided for the ablation study; the
         2-approximation proof does not apply to it.
     lazy:
-        CELF lazy evaluation for non-modular quality (the modular path has
-        its own O(1)-per-candidate kernel and ignores this flag).  Default
-        ``None`` enables laziness exactly when the quality declares itself
-        submodular — the property that makes stale quality gains valid upper
-        bounds.  ``False`` forces the plain batched evaluation (every
-        candidate re-scored each iteration); ``True`` forces laziness for
-        functions whose submodularity the caller vouches for.
+        CELF lazy evaluation of the quality gains.  Default ``None`` enables
+        laziness exactly when the quality declares itself submodular — the
+        property that makes stale quality gains valid upper bounds.
+        ``False`` forces the plain batched evaluation (every candidate
+        re-scored each iteration); ``True`` forces laziness for functions
+        whose submodularity the caller vouches for.  Modular gains never go
+        stale, so for modular quality both settings select identically and
+        no gain is ever re-evaluated.
     deadline:
         Optional cooperative wall-clock budget (seconds or a
         :class:`~repro.utils.deadline.Deadline`).  Checked once per selection
@@ -174,7 +175,6 @@ def greedy_diversify(
     order: List[Element] = []
     with maybe_span(trace, "gain_state", kind="tracker"):
         tracker = objective.make_tracker()
-    remaining = set(range(n))
     iterations = 0
     interrupted = False
 
@@ -193,104 +193,89 @@ def greedy_diversify(
         selected.add(element)
         order.append(element)
         tracker.add(element)
-        remaining.discard(element)
 
     quality = objective.quality
     quality_scale = 1.0 if oblivious else 0.5
-    penalty = np.full(n, -np.inf)
-    penalty[list(remaining)] = 0.0
+    penalty = np.zeros(n)  # -inf once selected
+    penalty[order] = -np.inf
 
-    # Fast path for modular quality: the potential of every candidate is
-    # ``scale·w(u) + λ·d_u(S)`` with the distance marginals maintained by the
-    # tracker, so each iteration is one vectorized argmax over the universe
-    # (the O(np) total running time discussed after Theorem 1).  The marginals
-    # are read through the tracker's copy-free view and already-selected
-    # elements carry a -inf penalty, so no O(n) allocation happens inside the
-    # loop.  (Candidate pools never reach this code: they are re-indexed into
-    # a dense sub-universe by the restriction layer above.)
-    scaled_weights = None
-    if quality.is_modular:
-        scaled_weights = quality_scale * kernels.modular_weights(quality)
-        scores = np.empty(n, dtype=float)
+    # One selection loop for every quality, CELF (Minoux 1978): each step
+    # scores ``potential + λ·d_u(S) + penalty`` into the preallocated
+    # ``scores`` buffer and takes one argmax.  ``potential[u]`` caches
+    # ``scale·f_u(S)`` as of step ``evaluated_at[u]``; under submodularity a
+    # stale gain is an upper bound, so only a stale argmax triggers
+    # re-evaluation.  The distance term is supermodular, so it is read exact
+    # from the tracker's copy-free view every step.  Modular gains never go
+    # stale: read once from the weights and stamped fresh forever, each step
+    # is one O(n) argmax (the O(np) total discussed after Theorem 1).
+    # (Candidate pools never reach this code: the restriction layer above
+    # re-indexes them into a dense sub-universe.)
+    margins = tracker.marginals_view()
+    scores = np.empty(n, dtype=float)
+    weights = kernels.modular_weights(quality)
+    state = None
+    if weights is not None:
+        potential = quality_scale * weights
+        evaluated_at = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
     else:
-        # Submodular fast path: quality gains served by the stateful batched
-        # marginal-gain protocol, distance gains by the tracker view.  With
-        # ``use_lazy`` the loop is CELF: quality gains computed in iteration
-        # one stay valid *upper bounds* afterwards (submodularity), so each
-        # later iteration re-evaluates candidates lazily in upper-bound order
-        # until the argmax is fresh — typically a handful of evaluations
-        # instead of all of ``remaining``.  The distance term is supermodular
-        # (stale values would *under*-estimate), so the upper-bound vector is
-        # rebuilt every iteration from the exact tracker marginals; only the
-        # quality term is ever stale.
         use_lazy = lazy if lazy is not None else quality.declares_submodular
         with maybe_span(trace, "gain_state", kind="quality"):
             state = objective.make_quality_state(selected)
-        quality_gains = np.zeros(n, dtype=float)
-        eval_iteration = np.full(n, 0, dtype=np.int64)
-        margins = tracker.marginals_view()
-        selection_step = 0
-        evaluations = 0
-        evaluations_after_first = 0
-        candidates_after_first = 0
+        potential = np.zeros(n, dtype=float)
+        evaluated_at = np.zeros(n, dtype=np.int64)
+    selection_step = 0
+    evaluations = 0
+    evaluations_after_first = 0
+    candidates_after_first = 0
 
     # Explicit-start span (the loop has `break` exits and the CELF counters
     # only exist at the end); ``finish`` is idempotent, so the no-trace path
     # costs one attribute check per solve.
     rounds = maybe_start_span(trace, "greedy_rounds")
-    while len(selected) < p and remaining and not interrupted:
+    while len(selected) < p and not interrupted:
         if deadline is not None and deadline.expired():
             interrupted = True
             break
-        if scaled_weights is not None:
-            np.multiply(tracker.marginals_view(), objective.tradeoff, out=scores)
-            scores += scaled_weights
-            scores += penalty
-            best_element = int(np.argmax(scores))
-        else:
-            selection_step += 1
+        selection_step += 1
+        if state is not None:
             if selection_step > 1:
-                candidates_after_first += len(remaining)
+                candidates_after_first += n - len(selected)
             if not use_lazy or selection_step == 1:
                 remaining_idx = np.nonzero(np.isfinite(penalty))[0]
-                quality_gains[remaining_idx] = objective.quality_gains(
+                potential[remaining_idx] = quality_scale * objective.quality_gains(
                     remaining_idx, state
                 )
-                eval_iteration[remaining_idx] = selection_step
+                evaluated_at[remaining_idx] = selection_step
                 evaluations += remaining_idx.size
                 if selection_step > 1:
                     evaluations_after_first += remaining_idx.size
-            scores = quality_scale * quality_gains + objective.tradeoff * margins
-            scores += penalty
-            while True:
-                best_element = int(np.argmax(scores))
-                if eval_iteration[best_element] == selection_step:
-                    break
-                # Re-evaluate the top stale candidates in one protocol batch:
-                # the stale argmax is guaranteed to be among them (it is the
-                # global score maximum), so every round makes progress, and
-                # batching amortizes the per-call cost of tiny gains batches.
-                stale_scores = np.where(
-                    eval_iteration < selection_step, scores, -np.inf
-                )
-                if n > _LAZY_BATCH:
-                    top = np.argpartition(stale_scores, -_LAZY_BATCH)[-_LAZY_BATCH:]
-                else:
-                    top = np.arange(n)
-                top = top[np.isfinite(stale_scores[top])]
-                fresh = quality.gains(top, state)
-                quality_gains[top] = fresh
-                eval_iteration[top] = selection_step
-                evaluations += top.size
-                evaluations_after_first += top.size
-                scores[top] = (
-                    quality_scale * fresh + objective.tradeoff * margins[top]
-                )
+        np.multiply(margins, objective.tradeoff, out=scores)
+        scores += potential
+        scores += penalty
+        best_element = int(np.argmax(scores))
+        while evaluated_at[best_element] < selection_step:
+            # Re-evaluate the top stale candidates in one protocol batch:
+            # the stale argmax is guaranteed to be among them (it is the
+            # global score maximum), so every round makes progress, and
+            # batching amortizes the per-call cost of tiny gains batches.
+            stale_scores = np.where(evaluated_at < selection_step, scores, -np.inf)
+            if n > _LAZY_BATCH:
+                top = np.argpartition(stale_scores, -_LAZY_BATCH)[-_LAZY_BATCH:]
+            else:
+                top = np.arange(n)
+            top = top[np.isfinite(stale_scores[top])]
+            fresh = quality_scale * quality.gains(top, state)
+            potential[top] = fresh
+            evaluated_at[top] = selection_step
+            evaluations += top.size
+            evaluations_after_first += top.size
+            scores[top] = objective.tradeoff * margins[top] + fresh
+            best_element = int(np.argmax(scores))
+        if state is not None:
             quality.push(state, best_element)
         selected.add(best_element)
         order.append(best_element)
         tracker.add(best_element)
-        remaining.discard(best_element)
         penalty[best_element] = -np.inf
         iterations += 1
         if on_checkpoint is not None and len(order) % checkpoint_every == 0:
@@ -307,7 +292,7 @@ def greedy_diversify(
             )
 
     rounds.set(iterations=iterations, interrupted=interrupted)
-    if scaled_weights is None:
+    if state is not None:
         rounds.set(lazy=use_lazy, quality_evaluations=evaluations)
     rounds.finish()
 
@@ -316,7 +301,7 @@ def greedy_diversify(
         metadata["resumed_at"] = len(seeded)
     if interrupted:
         mark_interrupted(metadata, deadline, "greedy_selection")
-    if scaled_weights is None:
+    if state is not None:
         if getattr(state, "degraded", False):
             # A numerical fast path (e.g. the log-det Cholesky state) broke
             # down mid-solve and fell back to oracle gains; surface it.

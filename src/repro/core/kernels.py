@@ -1,23 +1,25 @@
-"""Vectorized distance kernels — the matrix-backed fast path.
+"""Vectorized distance kernels — the array layer under every algorithm.
 
-The algorithms in :mod:`repro.core` are written twice:
+Greedy B and the local search each have one selection path, evaluated
+through the marginal-gain protocol: quality gains come either from a modular
+weight vector (which never goes stale) or from batched
+:meth:`~repro.functions.base.SetFunction.gains` calls, and distance gains from
+the marginal vector ``margins[u] = d_u(S)``.  When the metric exposes
+:meth:`~repro.metrics.base.Metric.matrix_view`, the hot scans below replace
+per-pair Python loops by one NumPy array operation.  The per-pair loops that
+need only the ``distance(u, v)`` oracle remain as the fallback for lazy
+metrics and as the test reference.
 
-* a **reference path** of per-pair Python loops that only needs the
-  ``distance(u, v)`` oracle (correct for any :class:`~repro.metrics.base.Metric`
-  and any quality function), and
-* a **kernel path** that replaces each hot loop by one NumPy array operation
-  when the metric exposes :meth:`~repro.metrics.base.Metric.matrix_view` and
-  the quality function is modular.
-
-This module holds the kernel path.  Everything here operates on plain arrays
-(the weight vector ``w``, the distance matrix ``D``, the marginal vector
-``margins`` with ``margins[u] = d_u(S)``) so the same kernels serve Greedy B's
-pair seeding, the local-search best-swap scan, the streaming arrival rule and
-the dynamic-update engine.  The key identities (paper Sections 4–6):
+Everything here operates on plain arrays (the weight vector ``w``, the
+distance matrix ``D``, the marginal vector ``margins``) so the same kernels
+serve Greedy B's pair seeding, the local-search best-swap scan, the streaming
+arrival rule and the dynamic-update engine.  The key identities (paper
+Sections 4–6):
 
 * pair score       ``w(x) + w(y) + λ·d(x, y)``
 * swap gain        ``φ(S − v + u) − φ(S)
-                     = (w(u) − w(v)) + λ·((d_u(S) − d(u, v)) − d_v(S))``
+                     = [f(S − v + u) − f(S)] + λ·((d_u(S) − d(u, v)) − d_v(S))``,
+  whose quality bracket is ``w(u) − w(v)`` for modular ``f``
 
 Each scan is a masked argmax over the corresponding score matrix, turning the
 O(n·p) inner Python loop per local-search iteration into a handful of BLAS
@@ -46,13 +48,11 @@ __all__ = [
     "set_margins",
     "best_addition_scan",
     "pair_argmax",
+    "weight_swap_gains",
     "swap_gain_matrix",
-    "swap_gain_matrix_general",
     "best_swap_scan",
-    "best_swap_scan_from_gains",
     "arrival_swap_gains",
     "removal_gain_state",
-    "swap_kernel_supported",
     "matroid_swap_vectorized",
 ]
 
@@ -189,8 +189,15 @@ def pair_argmax(
     return int(idx[i]), int(idx[j]), float(scores[i, j])
 
 
+def weight_swap_gains(
+    weights: np.ndarray, incoming: np.ndarray, outgoing: np.ndarray
+) -> np.ndarray:
+    """Modular quality-gain matrix ``Q[i, j] = w(incoming[i]) − w(outgoing[j])``."""
+    return weights[incoming][:, None] - weights[outgoing][None, :]
+
+
 def swap_gain_matrix(
-    weights: np.ndarray,
+    quality_gain: np.ndarray,
     matrix: np.ndarray,
     tradeoff: float,
     margins: np.ndarray,
@@ -199,39 +206,19 @@ def swap_gain_matrix(
 ) -> np.ndarray:
     """Gain matrix ``G[i, j] = φ(S − outgoing[j] + incoming[i]) − φ(S)``.
 
-    Uses the O(1)-per-entry identity
-    ``(w_in − w_out) + λ·((d_in(S) − D[in, out]) − d_out(S))`` with the
-    marginals ``d_·(S)`` supplied by the caller (a tracker view or
-    :func:`set_margins`).
-    """
-    cross = matrix[np.ix_(incoming, outgoing)]
-    distance_gain = (margins[incoming][:, None] - cross) - margins[outgoing][None, :]
-    quality_gain = weights[incoming][:, None] - weights[outgoing][None, :]
-    return quality_gain + tradeoff * distance_gain
-
-
-def swap_gain_matrix_general(
-    quality_gain: np.ndarray,
-    matrix: np.ndarray,
-    tradeoff: float,
-    margins: np.ndarray,
-    incoming: np.ndarray,
-    outgoing: np.ndarray,
-) -> np.ndarray:
-    """Swap-gain matrix with a *precomputed* quality-gain matrix.
-
-    The submodular fast path: ``quality_gain[i, j] = f(S − outgoing[j] +
-    incoming[i]) − f(S)`` comes from the batched marginal-gain protocol
-    (one :meth:`~repro.functions.base.SetFunction.gains` batch per outgoing
-    element against the ``S − outgoing[j]`` state), and the distance part is
-    the same O(1)-per-entry identity as :func:`swap_gain_matrix`.
+    ``quality_gain[i, j] = f(S − outgoing[j] + incoming[i]) − f(S)`` comes
+    from :func:`weight_swap_gains` for modular quality, or from the batched
+    marginal-gain protocol (one :func:`removal_gain_state` per outgoing
+    element) otherwise.  The distance part is the O(1)-per-entry identity
+    ``λ·((d_in(S) − D[in, out]) − d_out(S))`` with the marginals ``d_·(S)``
+    supplied by the caller (a tracker view or :func:`set_margins`).
     """
     cross = matrix[np.ix_(incoming, outgoing)]
     distance_gain = (margins[incoming][:, None] - cross) - margins[outgoing][None, :]
     return quality_gain + tradeoff * distance_gain
 
 
-def best_swap_scan_from_gains(
+def best_swap_scan(
     gains: np.ndarray,
     incoming: np.ndarray,
     outgoing: np.ndarray,
@@ -240,11 +227,15 @@ def best_swap_scan_from_gains(
     threshold: float = 0.0,
     first_improvement: bool = False,
 ) -> Optional[Tuple[Element, Element, float]]:
-    """Select the accepted swap from a precomputed gain matrix.
+    """Select the accepted swap from a gain matrix; ``None`` when none qualifies.
 
-    Shared selection logic of the modular and submodular kernel scans: the
-    best (or, with ``first_improvement``, the first row-major) admissible
-    entry strictly exceeding ``threshold``, or ``None``.
+    ``gains[i, j]`` is the gain of swapping ``incoming[i]`` (outside ``S``)
+    for ``outgoing[j]`` (a member of ``S``), e.g. from
+    :func:`swap_gain_matrix`; ``feasible`` is an optional boolean matrix of
+    allowed swaps (all allowed when omitted).  Returns the best admissible
+    entry strictly exceeding ``threshold`` — the reference loop's acceptance
+    rule — or, with ``first_improvement``, the first such entry in row-major
+    (incoming-then-outgoing) order.
 
     NaN gains (a poisoned oracle slipping past construction checks) would
     otherwise hijack ``argmax`` — NaN wins every comparison there — and then
@@ -253,6 +244,8 @@ def best_swap_scan_from_gains(
     a :class:`~repro.exceptions.NumericalDegradationWarning` is issued, NaN
     entries are masked to ``-inf`` and the argmax is retaken.
     """
+    if gains.size == 0:
+        return None
     if first_improvement:
         improving = gains > threshold
         if feasible is not None:
@@ -282,40 +275,6 @@ def best_swap_scan_from_gains(
     return int(incoming[i]), int(outgoing[j]), best
 
 
-def best_swap_scan(
-    weights: np.ndarray,
-    matrix: np.ndarray,
-    tradeoff: float,
-    margins: np.ndarray,
-    incoming: np.ndarray,
-    outgoing: np.ndarray,
-    *,
-    feasible: Optional[np.ndarray] = None,
-    threshold: float = 0.0,
-    first_improvement: bool = False,
-) -> Optional[Tuple[Element, Element, float]]:
-    """One vectorized best-swap scan; ``None`` when no swap beats ``threshold``.
-
-    ``incoming`` are candidates outside ``S`` and ``outgoing`` members of
-    ``S``; ``feasible`` is an optional boolean matrix of allowed swaps (all
-    allowed when omitted).  A swap must *strictly* exceed ``threshold`` to be
-    returned, matching the reference loop's acceptance rule.  With
-    ``first_improvement`` the scan returns the first admissible improving swap
-    in row-major (incoming-then-outgoing) order instead of the best one.
-    """
-    if incoming.size == 0 or outgoing.size == 0:
-        return None
-    gains = swap_gain_matrix(weights, matrix, tradeoff, margins, incoming, outgoing)
-    return best_swap_scan_from_gains(
-        gains,
-        incoming,
-        outgoing,
-        feasible=feasible,
-        threshold=threshold,
-        first_improvement=first_improvement,
-    )
-
-
 def arrival_swap_gains(
     weights: np.ndarray,
     matrix: np.ndarray,
@@ -336,8 +295,9 @@ def arrival_swap_gains(
     return (weights[element] - weights[sel]) + tradeoff * ((d_new - row) - internal)
 
 
-def removal_gain_state(quality: SetFunction, selected: Iterable[Element],
-                       outgoing: Element):
+def removal_gain_state(
+    quality: SetFunction, selected: Iterable[Element], outgoing: Element
+):
     """Gain state for ``S − outgoing`` plus the base gain ``f_v(S − v)``.
 
     The one identity behind every protocol-backed swap evaluation (local
@@ -362,16 +322,3 @@ def matroid_swap_vectorized(matroid: Matroid) -> bool:
     )
     return probe is not None
 
-
-def swap_kernel_supported(objective, matroid: Matroid) -> bool:
-    """Whether the *modular* best-swap scan can run vectorized for this pairing.
-
-    True when the metric is matrix-backed, the quality modular, and the
-    matroid family implements the closed-form feasibility rule.  Non-modular
-    quality on a matrix-backed metric takes the submodular kernel scan in
-    :mod:`repro.core.local_search` instead (quality gains batched through the
-    marginal-gain protocol rather than read from a weight vector).
-    """
-    if matrix_fast_path(objective) is None:
-        return False
-    return matroid_swap_vectorized(matroid)

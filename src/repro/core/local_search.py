@@ -70,6 +70,19 @@ class LocalSearchConfig:
             raise InvalidParameterError("time_budget_seconds must be non-negative")
 
 
+def _extend_to_basis(
+    objective: Objective, matroid: Matroid, independent: Iterable[Element]
+) -> Set[Element]:
+    """Extend an independent set to a basis, preferring high singleton quality
+    so the starting basis is sensible."""
+    preference = sorted(
+        range(matroid.n),
+        key=lambda u: objective.quality.marginal(u, frozenset()),
+        reverse=True,
+    )
+    return set(matroid.extend_to_basis(set(independent), preference=preference))
+
+
 def _initial_basis(objective: Objective, matroid: Matroid) -> Set[Element]:
     """The paper's initialization: best feasible pair extended to a basis."""
     rank = matroid.rank()
@@ -105,13 +118,7 @@ def _initial_basis(objective: Objective, matroid: Matroid) -> Set[Element]:
                 best_pair = (x, y)
     if best_pair is None:
         raise InfeasibleError("no independent pair exists in the matroid")
-    # Extend preferring high singleton quality so the starting basis is sensible.
-    preference = sorted(
-        range(matroid.n),
-        key=lambda u: objective.quality.marginal(u, frozenset()),
-        reverse=True,
-    )
-    return set(matroid.extend_to_basis(set(best_pair), preference=preference))
+    return _extend_to_basis(objective, matroid, best_pair)
 
 
 def _scan_swaps_reference(
@@ -125,7 +132,8 @@ def _scan_swaps_reference(
     first_improvement: bool = False,
     out_of_time=None,
 ) -> Optional[Tuple[Element, Element, float]]:
-    """One loop-based best-swap scan (the oracle fallback path).
+    """One loop-based best-swap scan, for lazy metrics and oracle matroids;
+    also the reference the kernel scan is tested against.
 
     The distance part of each swap gain is read from a
     :class:`~repro.metrics.aggregates.MarginalDistanceTracker` in O(1):
@@ -135,23 +143,17 @@ def _scan_swaps_reference(
     For modular quality the bracketed quality term is ``w(u) − w(v)``, making
     every candidate swap O(1); for general submodular quality it is one
     single-candidate batched-gains call against a per-outgoing removal state
-    cached for the scan (see the marginal-gain protocol in
-    :mod:`repro.functions.base`).  Returns ``(incoming, outgoing, gain)``
-    with ``gain > threshold``, or ``None``.  ``weights`` may be passed by
-    callers that already hold the modular weight vector (it is recomputed
-    otherwise).
+    (:func:`~repro.core.kernels.removal_gain_state`) built on first use and
+    cached for the scan.  Returns ``(incoming, outgoing, gain)`` with
+    ``gain > threshold``, or ``None``.  ``weights`` may be passed by callers
+    that already hold the modular weight vector (it is recomputed otherwise).
     """
     quality = objective.quality
     metric = objective.metric
     lam = objective.tradeoff
     if weights is None:
         weights = kernels.modular_weights(quality)
-    # For non-modular quality, the f(S − v + u) − f(S) term of every swap
-    # against the same outgoing v is served by one gain state for S − v
-    # (built lazily on first use, cached for the whole scan):
-    # f(S − v + u) − f(S) = f_u(S − v) − f_v(S − v), one single-candidate
-    # gains call per swap instead of two full value-oracle evaluations.
-    removal_states: dict = {}
+    removal_states: dict = {}  # outgoing v -> (state for S − v, f_v(S − v))
 
     def removal_state(outgoing: Element):
         cached = removal_states.get(outgoing)
@@ -192,48 +194,22 @@ def _scan_swaps_reference(
     return best_move[0], best_move[1], best_gain
 
 
-def _scan_swaps_vectorized(
-    objective: Objective,
-    matroid: Matroid,
-    selected: Set[Element],
-    tracker,
-    threshold: float,
-    weights: np.ndarray,
-    matrix: np.ndarray,
-    *,
-    first_improvement: bool = False,
-) -> Optional[Tuple[Element, Element, float]]:
-    """One kernel-based best-swap scan: a masked argmax over the gain matrix.
-
-    Builds the full (incoming × outgoing) gain matrix
-    ``(w[in] − w[out]) + λ·((d_in(S) − D[in, out]) − d_out(S))`` in one shot
-    from the tracker's marginal view, masked by the matroid's vectorized
-    feasibility rule.
-    """
-    inside, outside = kernels.solution_split(objective.n, selected)
-    feasible = matroid.swap_feasibility(selected, outside, inside)
-    return kernels.best_swap_scan(
-        weights,
-        matrix,
-        objective.tradeoff,
-        tracker.marginals_view(),
-        outside,
-        inside,
-        feasible=feasible,
-        threshold=threshold,
-        first_improvement=first_improvement,
-    )
-
-
 def _swap_quality_gains(
-    quality, selected: Set[Element], inside: np.ndarray, outside: np.ndarray
+    quality,
+    weights: Optional[np.ndarray],
+    selected: Set[Element],
+    inside: np.ndarray,
+    outside: np.ndarray,
 ) -> np.ndarray:
     """Quality-gain matrix ``Q[i, j] = f(S − inside[j] + outside[i]) − f(S)``.
 
-    One removal state per outgoing element, each answering the gains of
-    *every* incoming candidate in a single batch:
+    ``w[outside[i]] − w[inside[j]]`` when the modular weight vector is given;
+    otherwise one removal state per outgoing element, each answering the
+    gains of *every* incoming candidate in a single batch:
     ``Q[:, j] = f_·(S − v_j) − f_{v_j}(S − v_j)``.
     """
+    if weights is not None:
+        return kernels.weight_swap_gains(weights, outside, inside)
     gains = np.empty((outside.size, inside.size), dtype=float)
     for j, outgoing in enumerate(inside):
         state, base = kernels.removal_gain_state(quality, selected, int(outgoing))
@@ -241,30 +217,35 @@ def _swap_quality_gains(
     return gains
 
 
-def _scan_swaps_submodular(
+def _scan_swaps_kernel(
     objective: Objective,
     matroid: Matroid,
     selected: Set[Element],
     tracker,
     threshold: float,
     matrix: np.ndarray,
+    weights: Optional[np.ndarray] = None,
     *,
     first_improvement: bool = False,
 ) -> Optional[Tuple[Element, Element, float]]:
-    """One kernel-based best-swap scan for *non-modular* quality.
+    """One kernel-based best-swap scan: a masked argmax over the gain matrix.
 
-    The distance part is the same masked gain-matrix argmax as the modular
-    kernel scan; the quality part comes from the batched marginal-gain
-    protocol (:func:`_swap_quality_gains`) instead of a weight vector —
-    O(p) states and O(p) gains batches per scan instead of O(n·p)
+    Builds the full (incoming × outgoing) gain matrix
+    ``Q[in, out] + λ·((d_in(S) − D[in, out]) − d_out(S))`` in one shot from
+    the tracker's marginal view, masked by the matroid's vectorized
+    feasibility rule.  The quality part ``Q`` comes from
+    :func:`_swap_quality_gains`: the modular ``weights`` when given, else
+    O(p) removal states and O(p) gains batches per scan instead of O(n·p)
     value-oracle evaluations.
     """
     inside, outside = kernels.solution_split(objective.n, selected)
     if inside.size == 0 or outside.size == 0:
         return None
     feasible = matroid.swap_feasibility(selected, outside, inside)
-    quality_gain = _swap_quality_gains(objective.quality, selected, inside, outside)
-    gains = kernels.swap_gain_matrix_general(
+    quality_gain = _swap_quality_gains(
+        objective.quality, weights, selected, inside, outside
+    )
+    gains = kernels.swap_gain_matrix(
         quality_gain,
         matrix,
         objective.tradeoff,
@@ -272,7 +253,7 @@ def _scan_swaps_submodular(
         outside,
         inside,
     )
-    return kernels.best_swap_scan_from_gains(
+    return kernels.best_swap_scan(
         gains,
         outside,
         inside,
@@ -293,13 +274,13 @@ def _run_swaps(
 ) -> Tuple[int, bool]:
     """Perform improving swaps in place; return the number of swaps accepted.
 
-    Each iteration runs one best-swap scan: the modular kernel scan when the
-    metric is matrix-backed, the quality modular and the matroid family has a
-    closed-form feasibility rule; the submodular kernel scan (quality gains
-    batched through the marginal-gain protocol) when the metric is
-    matrix-backed and the quality is *not* modular; and the loop-based
-    reference scan otherwise.  All scans accept only swaps strictly better
-    than the ε-threshold of :class:`LocalSearchConfig`.
+    Each iteration runs one best-swap scan of the same swap rule: the kernel
+    scan (:func:`_scan_swaps_kernel`) when the metric is matrix-backed and
+    the matroid family has a closed-form feasibility rule, else the
+    loop-based reference scan (lazy metrics, oracle matroids).  Both read
+    modular quality gains from the weight vector and every other quality's
+    from the batched marginal-gain protocol, and both accept only swaps
+    strictly better than the ε-threshold of :class:`LocalSearchConfig`.
 
     Returns ``(swaps accepted, interrupted)`` — ``interrupted`` is ``True``
     only when a cooperative ``deadline`` expired; the config's own time
@@ -311,18 +292,9 @@ def _run_swaps(
     tracker = objective.make_tracker(selected)
     current_value = objective.value(selected)
 
-    fast = kernels.matrix_fast_path(objective)
-    use_kernel = fast is not None and kernels.swap_kernel_supported(objective, matroid)
-    matrix_view = objective.metric.matrix_view()
-    use_submodular_kernel = (
-        not use_kernel
-        and matrix_view is not None
-        and not objective.quality.is_modular
-        and kernels.matroid_swap_vectorized(matroid)
-    )
-    reference_weights = (
-        None if use_kernel else kernels.modular_weights(objective.quality)
-    )
+    matrix = objective.metric.matrix_view()
+    use_kernel = matrix is not None and kernels.matroid_swap_vectorized(matroid)
+    weights = kernels.modular_weights(objective.quality)
 
     def out_of_time() -> bool:
         if deadline is not None and deadline.expired():
@@ -342,25 +314,14 @@ def _run_swaps(
             break
         threshold = config.epsilon * abs(current_value) / max(objective.n, 1)
         if use_kernel:
-            weights, matrix = fast
-            move = _scan_swaps_vectorized(
+            move = _scan_swaps_kernel(
                 objective,
                 matroid,
                 selected,
                 tracker,
                 threshold,
-                weights,
                 matrix,
-                first_improvement=config.first_improvement,
-            )
-        elif use_submodular_kernel:
-            move = _scan_swaps_submodular(
-                objective,
-                matroid,
-                selected,
-                tracker,
-                threshold,
-                matrix_view,
+                weights,
                 first_improvement=config.first_improvement,
             )
         else:
@@ -370,7 +331,7 @@ def _run_swaps(
                 selected,
                 tracker,
                 threshold,
-                weights=reference_weights,
+                weights=weights,
                 first_improvement=config.first_improvement,
                 out_of_time=out_of_time,
             )
@@ -450,12 +411,7 @@ def local_search_diversify(
             raise InvalidParameterError(
                 "initial set must be independent in the matroid"
             )
-        preference = sorted(
-            range(matroid.n),
-            key=lambda u: objective.quality.marginal(u, frozenset()),
-            reverse=True,
-        )
-        selected = set(matroid.extend_to_basis(initial_set, preference=preference))
+        selected = _extend_to_basis(objective, matroid, initial_set)
 
     swap_trace: List[Tuple[Element, Element, float]] = []
     swaps, interrupted = _run_swaps(

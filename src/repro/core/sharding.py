@@ -158,10 +158,6 @@ def sub_metric(metric: Metric, pool: np.ndarray, materialize: bool) -> Metric:
     return lazy if lazy is not None else metric.restrict(pool)
 
 
-#: Backward-compatible private alias (pre-dates the dynamic session).
-_sub_metric = sub_metric
-
-
 def _materialize_objective(objective: Objective) -> Objective:
     """Swap a lazy metric for its block-materialized :class:`DistanceMatrix`."""
     if objective.metric.matrix_view() is not None:
@@ -488,7 +484,7 @@ def solve_sharded(
                 restrictions.append(None)
                 continue
             restriction = Restriction(
-                objective, shard, metric=_sub_metric(metric, shard, materialize=False)
+                objective, shard, metric=sub_metric(metric, shard, materialize=False)
             )
             restrictions.append(restriction)
             payloads.append(
@@ -745,7 +741,7 @@ def solve_sharded(
         trace, "final_solve", core=int(core.size), algorithm=algorithm
     ):
         final_restriction = Restriction(
-            objective, core, metric=_sub_metric(metric, core, final_materialize)
+            objective, core, metric=sub_metric(metric, core, final_materialize)
         )
         final_p = min(p, core.size)
         if algorithm == "local_search":

@@ -611,7 +611,12 @@ class DynamicDiversifier:
                 dirty_col: Optional[np.ndarray] = None
                 if dirty.size and inside.size:
                     dirty_gains = kernels.swap_gain_matrix(
-                        weights, matrix, self._tradeoff, self._margins, dirty, inside
+                        kernels.weight_swap_gains(weights, dirty, inside),
+                        matrix,
+                        self._tradeoff,
+                        self._margins,
+                        dirty,
+                        inside,
                     )
                     dirty_col = dirty_gains.max(axis=0)
                     best_bound = max(best_bound, float(dirty_col.max()))
@@ -633,10 +638,11 @@ class DynamicDiversifier:
             if outside.size == 0 or inside.size == 0:
                 self._set_cache(inside, np.full(inside.size, -np.inf))
                 break
+            quality_gain = kernels.weight_swap_gains(weights, outside, inside)
             gains = kernels.swap_gain_matrix(
-                weights, matrix, self._tradeoff, margins, outside, inside
+                quality_gain, matrix, self._tradeoff, margins, outside, inside
             )
-            move = kernels.best_swap_scan_from_gains(gains, outside, inside)
+            move = kernels.best_swap_scan(gains, outside, inside)
             if move is None:
                 self._set_cache(inside, gains.max(axis=0))
                 break

@@ -97,9 +97,11 @@ def best_swap(
         weights, matrix = fast
         inside, outside = kernels.solution_split(objective.n, solution)
         margins = kernels.set_margins(matrix, inside)
-        return kernels.best_swap_scan(
-            weights, matrix, objective.tradeoff, margins, outside, inside
+        quality_gain = kernels.weight_swap_gains(weights, outside, inside)
+        gains = kernels.swap_gain_matrix(
+            quality_gain, matrix, objective.tradeoff, margins, outside, inside
         )
+        return kernels.best_swap_scan(gains, outside, inside)
     best: Optional[Tuple[Element, Element, float]] = None
     for incoming in range(objective.n):
         if incoming in solution:

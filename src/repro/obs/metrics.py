@@ -193,12 +193,13 @@ class Gauge(_Instrument):
 class _HistogramState:
     """Per-label-set histogram accumulator."""
 
-    __slots__ = ("counts", "total", "sum", "maximum")
+    __slots__ = ("counts", "total", "sum", "minimum", "maximum")
 
     def __init__(self, num_buckets: int) -> None:
         self.counts = [0] * num_buckets  # one per finite bound, +Inf implicit
         self.total = 0
         self.sum = 0.0
+        self.minimum = math.inf
         self.maximum = -math.inf
 
 
@@ -251,6 +252,7 @@ class Histogram(_Instrument):
                 state.counts[index] += 1
             state.total += 1
             state.sum += value
+            state.minimum = min(state.minimum, value)
             state.maximum = max(state.maximum, value)
 
     def count(self, **labels: object) -> int:
@@ -268,7 +270,10 @@ class Histogram(_Instrument):
 
         The overflow (+Inf) bucket interpolates toward the maximum observed
         value, so a p99 beyond the last bound degrades gracefully instead of
-        clipping.  Returns 0.0 with no observations.
+        clipping.  Every estimate is clamped to the observed
+        ``[minimum, maximum]``: interpolating inside a wide bucket must never
+        report a value larger (or smaller) than any that occurred.  Returns
+        0.0 with no observations.
         """
         if not 0.0 <= q <= 1.0:
             raise InvalidParameterError("quantile must be within [0, 1]")
@@ -278,6 +283,7 @@ class Histogram(_Instrument):
                 return 0.0
             counts = list(state.counts)
             total = state.total
+            minimum = state.minimum
             maximum = state.maximum
         rank = q * total
         cumulative = 0
@@ -287,15 +293,16 @@ class Histogram(_Instrument):
             cumulative += counts[index]
             if cumulative >= rank and counts[index] > 0:
                 fraction = (rank - previous) / counts[index]
-                return lower + (bound - lower) * min(1.0, max(0.0, fraction))
+                upper = bound
+                break
             lower = bound
-        # Overflow bucket: interpolate between the last bound and the max.
-        overflow = total - cumulative
-        if overflow <= 0:
-            return min(lower, maximum) if maximum > -math.inf else lower
-        fraction = (rank - cumulative) / overflow
-        top = max(maximum, lower)
-        return lower + (top - lower) * min(1.0, max(0.0, fraction))
+        else:
+            # Overflow bucket (non-empty here, since the rank lies past every
+            # finite bucket): interpolate between the last bound and the max.
+            fraction = (rank - cumulative) / (total - cumulative)
+            upper = maximum
+        estimate = lower + (upper - lower) * min(1.0, max(0.0, fraction))
+        return min(max(estimate, minimum), maximum)
 
     def snapshot(self) -> Dict[Tuple[str, ...], Dict[str, object]]:
         with self._lock:

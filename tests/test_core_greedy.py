@@ -97,7 +97,7 @@ class TestVariants:
 
     def test_modular_fast_path_matches_generic_path(self):
         # The same instance run with a modular function and with an equivalent
-        # non-modular wrapper must select the same set.
+        # non-modular wrapper must select the same elements in the same order.
         instance = make_synthetic_instance(15, seed=3)
         objective_fast = instance.objective
 
@@ -111,6 +111,7 @@ class TestVariants:
         )
         fast = greedy_diversify(objective_fast, 6)
         slow = greedy_diversify(objective_slow, 6)
+        assert fast.order == slow.order
         assert fast.selected == slow.selected
         assert fast.objective_value == pytest.approx(slow.objective_value)
 

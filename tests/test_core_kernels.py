@@ -14,11 +14,11 @@ import pytest
 
 from repro._types import Element
 from repro.core import kernels
+from repro.core import local_search as local_search_module
 from repro.core.greedy import _best_pair, greedy_diversify
 from repro.core.local_search import (
+    _scan_swaps_kernel,
     _scan_swaps_reference,
-    _scan_swaps_submodular,
-    _scan_swaps_vectorized,
     local_search_diversify,
 )
 from repro.core.objective import Objective
@@ -27,6 +27,7 @@ from repro.dynamic.update_rules import best_swap
 from repro.functions.facility_location import FacilityLocationFunction
 from repro.functions.modular import ModularFunction
 from repro.matroids.base import restriction_feasible_pairs
+from repro.matroids.graphic import GraphicMatroid
 from repro.matroids.partition import PartitionMatroid
 from repro.matroids.uniform import UniformMatroid
 from repro.metrics.aggregates import (
@@ -36,6 +37,7 @@ from repro.metrics.aggregates import (
     set_distance,
 )
 from repro.metrics.base import Metric
+from repro.metrics.euclidean import EuclideanMetric
 from repro.metrics.matrix import DistanceMatrix
 from repro.metrics.validation import triangle_violations
 
@@ -81,15 +83,57 @@ class TestFastPathDetection:
         quality = FacilityLocationFunction.from_distances(metric.to_matrix())
         objective = Objective(quality, metric, tradeoff)
         assert kernels.matrix_fast_path(objective) is None
-        assert not kernels.swap_kernel_supported(objective, UniformMatroid(metric.n, 5))
 
-    def test_swap_kernel_needs_closed_form_matroid(self):
-        fast, _ = paired_objectives(2)
-        assert kernels.swap_kernel_supported(fast, UniformMatroid(fast.n, 5))
-        blocks = [u % 4 for u in range(fast.n)]
-        assert kernels.swap_kernel_supported(
-            fast, PartitionMatroid(blocks, {b: 2 for b in range(4)})
-        )
+
+class TestSwapScanRouting:
+    """Local search takes the kernel scan exactly when the metric is
+    matrix-backed and the matroid has a closed-form swap rule, whatever the
+    quality; lazy metrics and oracle matroids take the reference scan."""
+
+    @staticmethod
+    def _scans_taken(monkeypatch, objective, matroid):
+        taken = set()
+        for name in ("_scan_swaps_kernel", "_scan_swaps_reference"):
+            scan = getattr(local_search_module, name)
+
+            def recording(*args, _scan=scan, _name=name, **kwargs):
+                taken.add(_name)
+                return _scan(*args, **kwargs)
+
+            monkeypatch.setattr(local_search_module, name, recording)
+        local_search_diversify(objective, matroid)
+        return taken
+
+    def test_lazy_metric_takes_reference_scan(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        metric = EuclideanMetric(rng.normal(size=(30, 3)))
+        assert metric.matrix_view() is None
+        objective = Objective(ModularFunction(rng.uniform(0.0, 5.0, 30)), metric, 1.0)
+        taken = self._scans_taken(monkeypatch, objective, UniformMatroid(30, 5))
+        assert taken == {"_scan_swaps_reference"}
+
+    def test_oracle_matroid_takes_reference_scan(self, monkeypatch):
+        fast, _ = paired_objectives(2, n=12)
+        edges = [(u % 6, (u + 1 + u // 6) % 6) for u in range(fast.n)]
+        matroid = GraphicMatroid(6, edges)
+        assert not kernels.matroid_swap_vectorized(matroid)
+        taken = self._scans_taken(monkeypatch, fast, matroid)
+        assert taken == {"_scan_swaps_reference"}
+
+    @pytest.mark.parametrize("submodular", [False, True])
+    @pytest.mark.parametrize("partition", [False, True])
+    def test_matrix_metric_takes_kernel_scan(self, monkeypatch, submodular, partition):
+        metric, quality, tradeoff = random_instance(2)
+        if submodular:
+            quality = FacilityLocationFunction.from_distances(metric.to_matrix())
+        objective = Objective(quality, metric, tradeoff)
+        if partition:
+            blocks = [u % 4 for u in range(metric.n)]
+            matroid = PartitionMatroid(blocks, {b: 2 for b in range(4)})
+        else:
+            matroid = UniformMatroid(metric.n, 5)
+        taken = self._scans_taken(monkeypatch, objective, matroid)
+        assert taken == {"_scan_swaps_kernel"}
 
 
 class TestPairSeeding:
@@ -135,8 +179,8 @@ class TestSwapScanEquivalence:
         selected = set(rng.choice(fast.n, size=8, replace=False).tolist())
         matroid = UniformMatroid(fast.n, len(selected))
         weights, matrix = kernels.matrix_fast_path(fast)
-        vec = _scan_swaps_vectorized(
-            fast, matroid, selected, fast.make_tracker(selected), 0.0, weights, matrix
+        vec = _scan_swaps_kernel(
+            fast, matroid, selected, fast.make_tracker(selected), 0.0, matrix, weights
         )
         ref = _scan_swaps_reference(
             slow, matroid, selected, slow.make_tracker(selected), 0.0
@@ -157,8 +201,8 @@ class TestSwapScanEquivalence:
         matroid = PartitionMatroid(blocks, {b: 2 for b in range(4)})
         selected = set(matroid.extend_to_basis(frozenset()))
         weights, matrix = kernels.matrix_fast_path(fast)
-        vec = _scan_swaps_vectorized(
-            fast, matroid, selected, fast.make_tracker(selected), 0.0, weights, matrix
+        vec = _scan_swaps_kernel(
+            fast, matroid, selected, fast.make_tracker(selected), 0.0, matrix, weights
         )
         ref = _scan_swaps_reference(
             slow, matroid, selected, slow.make_tracker(selected), 0.0
@@ -177,14 +221,14 @@ class TestSwapScanEquivalence:
         weights, matrix = kernels.matrix_fast_path(fast)
         huge = 1e9
         assert (
-            _scan_swaps_vectorized(
+            _scan_swaps_kernel(
                 fast,
                 matroid,
                 selected,
                 fast.make_tracker(selected),
                 huge,
-                weights,
                 matrix,
+                weights,
             )
             is None
         )
@@ -215,7 +259,7 @@ class TestSubmodularSwapScanEquivalence:
         selected = set(rng.choice(objective.n, size=7, replace=False).tolist())
         matroid = UniformMatroid(objective.n, len(selected))
         tracker = objective.make_tracker(selected)
-        vec = _scan_swaps_submodular(
+        vec = _scan_swaps_kernel(
             objective,
             matroid,
             selected,
@@ -240,7 +284,7 @@ class TestSubmodularSwapScanEquivalence:
         matroid = PartitionMatroid(blocks, {b: 2 for b in range(4)})
         selected = set(matroid.extend_to_basis(frozenset()))
         tracker = objective.make_tracker(selected)
-        vec = _scan_swaps_submodular(
+        vec = _scan_swaps_kernel(
             objective,
             matroid,
             selected,
@@ -260,7 +304,7 @@ class TestSubmodularSwapScanEquivalence:
         selected = set(rng.choice(objective.n, size=5, replace=False).tolist())
         matroid = UniformMatroid(objective.n, len(selected))
         assert (
-            _scan_swaps_submodular(
+            _scan_swaps_kernel(
                 objective,
                 matroid,
                 selected,

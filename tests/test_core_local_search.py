@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.exact import exact_diversify
@@ -15,10 +16,12 @@ from repro.core.objective import Objective
 from repro.data.synthetic import make_synthetic_instance
 from repro.exceptions import InvalidParameterError
 from repro.functions.coverage import CoverageFunction
+from repro.functions.modular import ModularFunction
 from repro.matroids.partition import PartitionMatroid
 from repro.matroids.transversal import TransversalMatroid
 from repro.matroids.uniform import UniformMatroid
 from repro.metrics.discrete import UniformRandomMetric
+from repro.metrics.matrix import DistanceMatrix
 
 
 class TestLocalSearchBasics:
@@ -92,6 +95,40 @@ class TestLocalSearchBasics:
         config = LocalSearchConfig(first_improvement=True)
         result = local_search_diversify(synthetic_objective_20, matroid, config=config)
         assert matroid.is_basis(result.selected)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_modular_weights_match_protocol_gains(self, seed):
+        # The same weights read as a weight vector and through the batched
+        # marginal-gain protocol (a wrapper hiding modularity) must take the
+        # same swaps on the kernel scan.
+        rng = np.random.default_rng(seed)
+        metric = DistanceMatrix.from_points(rng.normal(size=(40, 3)))
+        weights = rng.uniform(0.0, 5.0, size=40)
+
+        class OpaqueModular(ModularFunction):
+            @property
+            def is_modular(self) -> bool:
+                return False
+
+        blocks = [u % 4 for u in range(40)]
+        matroid = PartitionMatroid(blocks, {b: 2 for b in range(4)})
+        modular = local_search_diversify(
+            Objective(ModularFunction(weights), metric, 0.7), matroid
+        )
+        opaque = local_search_diversify(
+            Objective(OpaqueModular(weights), metric, 0.7), matroid
+        )
+        assert modular.metadata["swaps"]
+        assert len(modular.metadata["swaps"]) == len(opaque.metadata["swaps"])
+        for (u, v, gain), (x, y, other) in zip(
+            modular.metadata["swaps"], opaque.metadata["swaps"]
+        ):
+            assert (u, v) == (x, y)
+            assert gain == pytest.approx(other, abs=1e-9)
+        assert modular.selected == opaque.selected
+        assert modular.objective_value == pytest.approx(
+            opaque.objective_value, abs=1e-9
+        )
 
 
 class TestApproximationGuarantee:

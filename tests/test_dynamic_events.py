@@ -216,9 +216,14 @@ class TestMultiEventTicks:
         inside, outside = kernels.solution_split(engine.n, engine.solution)
         margins = kernels.set_margins(matrix, inside)
         gains = kernels.swap_gain_matrix(
-            w, matrix, engine.tradeoff, margins, outside, inside
+            kernels.weight_swap_gains(w, outside, inside),
+            matrix,
+            engine.tradeoff,
+            margins,
+            outside,
+            inside,
         )
-        assert kernels.best_swap_scan_from_gains(gains, outside, inside) is None
+        assert kernels.best_swap_scan(gains, outside, inside) is None
 
 
 class TestInsertDelete:

@@ -21,7 +21,7 @@ import pytest
 from repro.core.batch import solve_many
 from repro.core.checkpoint import SolveCheckpoint
 from repro.core.greedy import greedy_diversify
-from repro.core.kernels import best_swap_scan_from_gains
+from repro.core.kernels import best_swap_scan
 from repro.core.local_search import (
     LocalSearchConfig,
     local_search_diversify,
@@ -434,15 +434,13 @@ class TestNumericalDegradation:
         incoming = np.array([5, 6])
         outgoing = np.array([1, 2])
         with pytest.warns(NumericalDegradationWarning):
-            move = best_swap_scan_from_gains(gains, incoming, outgoing)
+            move = best_swap_scan(gains, incoming, outgoing)
         assert move == (5, 2, 0.5)
 
     def test_swap_scan_all_nan_returns_none(self):
         gains = np.full((2, 2), np.nan)
         with pytest.warns(NumericalDegradationWarning):
-            move = best_swap_scan_from_gains(
-                gains, np.array([5, 6]), np.array([1, 2])
-            )
+            move = best_swap_scan(gains, np.array([5, 6]), np.array([1, 2]))
         assert move is None
 
     def test_nan_metric_local_search_terminates(self, instance):

@@ -16,6 +16,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dynamic.events import EventBatch
 from repro.dynamic.perturbation import WeightIncrease
@@ -381,6 +383,24 @@ class TestMetrics:
         p99 = histogram.quantile(0.99)
         assert 0.1 < p99 <= 3.0
         assert histogram.quantile(0.5) <= p99
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        samples=st.lists(
+            st.floats(min_value=-1.0, max_value=10.0, allow_nan=False),
+            min_size=1,
+            max_size=50,
+        ),
+        q=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_histogram_quantile_within_observed_range(self, samples, q):
+        # Interpolating inside a wide bucket must never report a value
+        # outside the observed [min, max] (e.g. a p99 above the slowest
+        # request that actually happened).
+        histogram = Histogram("lat")
+        for value in samples:
+            histogram.observe(value)
+        assert min(samples) <= histogram.quantile(q) <= max(samples)
 
     def test_histogram_empty_quantile_zero(self):
         assert Histogram("lat").quantile(0.99) == 0.0
