@@ -10,30 +10,33 @@ A :class:`SolveCheckpoint` is a plain-data snapshot of a solve in progress:
   so a resumed run skips straight to the unsolved shards.
 
 Checkpoints hold only primitive Python/tuple data (like
-:class:`~repro.utils.timing.Stopwatch`, nothing in them depends on live
-locks, clocks or array views), so they pickle across process boundaries and
-can be written to disk between sessions.  Emission is pull-free: callers pass
+:class:`~repro.obs.trace.Stopwatch`, nothing in them depends on live locks,
+clocks or array views), so they pickle across process boundaries and can be
+written to disk between sessions.  Emission is pull-free: callers pass
 ``checkpoint_every=`` and an ``on_checkpoint`` callback to
 :func:`~repro.core.solver.solve`, and resume by passing the snapshot back as
 ``resume_from=``.
+
+Every snapshot type (this one, the dynamic engine/session snapshots and the
+corpus snapshot) carries the format version and fingerprint defined here,
+and persists through :class:`SnapshotFile`: an atomic, checksummed file
+whose loader also accepts the plain pickles older releases wrote.
 """
 
 from __future__ import annotations
 
 import hashlib
-import pickle
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple, Type, TypeVar
 
 from repro._types import Element
 from repro.exceptions import InvalidParameterError, SnapshotVersionError
 
 __all__ = [
     "SNAPSHOT_FORMAT_VERSION",
+    "SnapshotFile",
     "SolveCheckpoint",
     "check_snapshot_version",
-    "load_checkpoint",
-    "save_checkpoint",
     "universe_fingerprint",
 ]
 
@@ -80,36 +83,31 @@ def check_snapshot_version(snapshot: Any, *, source: str = "snapshot") -> Any:
     return snapshot
 
 
-def save_checkpoint(checkpoint: Any, path: str) -> None:
-    """Pickle any checkpoint/snapshot object to ``path``.
-
-    Shared by every persistence point in the stack — solve checkpoints,
-    dynamic engine/session snapshots and the serving tier's corpus snapshots
-    all hold plain-data state, so one pickle helper covers them.
-    """
-    with open(path, "wb") as handle:
-        pickle.dump(checkpoint, handle)
+_Snapshot = TypeVar("_Snapshot", bound="SnapshotFile")
 
 
-def load_checkpoint(path: str, expected_type: type) -> Any:
-    """Load a checkpoint written by :func:`save_checkpoint`, type-checked.
+class SnapshotFile:
+    """``save`` / ``load`` for the snapshot types, through the one codec
+    (:func:`~repro.durability.snapshot.save_snapshot` /
+    :func:`~repro.durability.snapshot.load_snapshot`)."""
 
-    Raises :class:`~repro.exceptions.InvalidParameterError` when the pickle
-    holds anything but an ``expected_type`` instance, so a solve checkpoint
-    cannot be silently fed where a corpus snapshot was expected (and vice
-    versa).
-    """
-    with open(path, "rb") as handle:
-        checkpoint = pickle.load(handle)
-    if not isinstance(checkpoint, expected_type):
-        raise InvalidParameterError(
-            f"{path!r} does not contain a {expected_type.__name__}"
-        )
-    return check_snapshot_version(checkpoint, source=repr(path))
+    def save(self, path: str) -> None:
+        """Write the snapshot to ``path`` (atomic, checksummed)."""
+        # Imported here: repro.durability imports this module.
+        from repro.durability.snapshot import save_snapshot
+
+        save_snapshot(self, path)
+
+    @classmethod
+    def load(cls: Type[_Snapshot], path: str) -> _Snapshot:
+        """Load a snapshot of this type previously written by :meth:`save`."""
+        from repro.durability.snapshot import load_snapshot
+
+        return load_snapshot(path, cls)
 
 
 @dataclass(frozen=True)
-class SolveCheckpoint:
+class SolveCheckpoint(SnapshotFile):
     """A resumable snapshot of one solve.
 
     Attributes
@@ -187,15 +185,3 @@ class SolveCheckpoint:
                 f"universe"
             )
         return self
-
-    # ------------------------------------------------------------------
-    # Persistence helpers
-    # ------------------------------------------------------------------
-    def save(self, path: str) -> None:
-        """Pickle the checkpoint to ``path``."""
-        save_checkpoint(self, path)
-
-    @staticmethod
-    def load(path: str) -> "SolveCheckpoint":
-        """Load a checkpoint previously written by :meth:`save`."""
-        return load_checkpoint(path, SolveCheckpoint)

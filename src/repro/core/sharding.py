@@ -78,9 +78,8 @@ from repro.obs.instrument import (
     maybe_start_span,
     phase_timings,
 )
-from repro.obs.trace import SpanBundle, Trace
+from repro.obs.trace import SpanBundle, Stopwatch, Trace
 from repro.utils.deadline import Deadline, mark_interrupted
-from repro.utils.timing import Stopwatch
 from repro.utils.validation import check_candidate_pool
 
 __all__ = ["shard_pool", "solve_sharded", "sub_metric"]
@@ -282,7 +281,7 @@ def solve_sharded(
         when the metric reports :attr:`~repro.metrics.base.Metric.parallel_safe`
         and the quality slices are array-backed) or ``executor="process"``
         (sub-instances are pickled to workers; shard timings are merged back
-        into the parent, see :class:`~repro.utils.timing.Stopwatch`).
+        into the parent, see :class:`~repro.obs.trace.Stopwatch`).
     local_search_config:
         Forwarded to any local-search stage (shard and final).
     deadline:

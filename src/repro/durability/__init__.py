@@ -7,7 +7,8 @@ The subsystem behind ``DynamicSession(durable_dir=...)`` /
   (length-prefixed CRC32 frames, configurable fsync policy, torn-tail
   repair);
 * :mod:`~repro.durability.snapshot` — atomic checksummed snapshot files
-  with monotonic generation rotation;
+  with monotonic generation rotation, and the one codec every snapshot
+  type's ``save`` / ``load`` goes through;
 * :mod:`~repro.durability.recovery` — the :class:`DurableStore` a durable
   session owns (journal-before-apply, compaction) and
   :func:`recover_session`, which rebuilds bit-identical state after a

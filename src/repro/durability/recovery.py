@@ -169,6 +169,15 @@ class DurableStore:
             "keep_snapshots": self._keep_snapshots,
         }
 
+    def _session_config(self, session) -> Dict[str, Any]:
+        """The configuration journaled with a session's state: this store's
+        settings plus the session's re-solve cadence."""
+        return {
+            **self.config(),
+            "resolve_every": session._resolve_every,
+            "resolve_kwargs": dict(session._resolve_kwargs),
+        }
+
     # ------------------------------------------------------------------
     # Journaling
     # ------------------------------------------------------------------
@@ -179,11 +188,8 @@ class DurableStore:
                 f"{self._directory} already holds a journal; recover it with "
                 f"DynamicSession.recover(...) instead of overwriting it"
             )
-        config = self.config()
-        config["resolve_every"] = session._resolve_every
-        config["resolve_kwargs"] = dict(session._resolve_kwargs)
         body = pickle.dumps(
-            {"snapshot": session.snapshot(), "config": config},
+            {"snapshot": session.snapshot(), "config": self._session_config(session)},
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         self._wal = WriteAheadLog(
@@ -259,16 +265,13 @@ class DurableStore:
         """
         if self._wal is None:
             raise RecoveryError("the durable store is closed")
-        config = self.config()
-        config["resolve_every"] = session._resolve_every
-        config["resolve_kwargs"] = dict(session._resolve_kwargs)
         self._snapshots.write(
             DurableCheckpoint(
                 snapshot=session.snapshot(),
                 wal_seq=self._seq,
                 ticks=session.ticks,
                 fingerprint=self._lineage,
-                config=config,
+                config=self._session_config(session),
             )
         )
         if self.post_snapshot_hook is not None:
@@ -291,7 +294,7 @@ class DurableStore:
 # ----------------------------------------------------------------------
 # Recovery
 # ----------------------------------------------------------------------
-def _load_checkpoint(
+def _latest_checkpoint(
     snapshots: SnapshotStore,
 ) -> Optional[DurableCheckpoint]:
     latest = snapshots.load_latest()
@@ -334,7 +337,7 @@ def recover_session(
     if os.path.exists(wal_path):
         records, valid_length = read_wal(wal_path, repair=True)
 
-    checkpoint = _load_checkpoint(snapshots)
+    checkpoint = _latest_checkpoint(snapshots)
 
     init_record = (
         records[0] if records and records[0].kind == RECORD_INIT else None

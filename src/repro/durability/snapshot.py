@@ -15,6 +15,13 @@ so a snapshot damaged *after* it landed (bit rot, partial copy) is detected
 by checksum and skipped in favour of an older generation rather than
 unpickled into garbage.
 
+:func:`save_snapshot` / :func:`load_snapshot` are the one codec every
+snapshot type persists through (:class:`~repro.core.checkpoint.SolveCheckpoint`,
+:class:`~repro.dynamic.engine.EngineSnapshot`,
+:class:`~repro.dynamic.session.SessionSnapshot`,
+:class:`~repro.serve.corpus.CorpusSnapshot`): a pickle inside the frame.
+Loading still accepts the plain pickles older releases wrote.
+
 :class:`SnapshotStore` manages a directory of ``snapshot-NNNNNNNNNNNN.snap``
 files with strictly increasing generation numbers; ``load_latest`` walks
 newest-to-oldest past corrupt generations (warning on each skip) and
@@ -32,14 +39,17 @@ import warnings
 import zlib
 from typing import Any, List, Optional, Tuple
 
-from repro.exceptions import DurabilityError, DurabilityWarning
+from repro.core.checkpoint import check_snapshot_version
+from repro.exceptions import DurabilityError, DurabilityWarning, InvalidParameterError
 from repro.obs.instrument import SNAPSHOT_WRITE_SECONDS
 
 __all__ = [
     "SNAPSHOT_MAGIC",
     "SnapshotStore",
     "atomic_write_bytes",
+    "load_snapshot",
     "read_framed",
+    "save_snapshot",
     "write_framed",
 ]
 
@@ -84,7 +94,10 @@ def read_framed(path: str) -> bytes:
     """
     path = os.fspath(path)
     with open(path, "rb") as handle:
-        data = handle.read()
+        return _unframe(path, handle.read())
+
+
+def _unframe(path: str, data: bytes) -> bytes:
     header_size = len(SNAPSHOT_MAGIC) + _FRAME.size
     if len(data) < header_size or not data.startswith(SNAPSHOT_MAGIC):
         raise DurabilityError(f"{path} is not a framed snapshot file")
@@ -100,9 +113,35 @@ def read_framed(path: str) -> bytes:
     return payload
 
 
-def is_framed_snapshot(data: bytes) -> bool:
-    """Whether a byte prefix carries the framed-snapshot magic."""
-    return data.startswith(SNAPSHOT_MAGIC)
+def save_snapshot(obj: Any, path: str) -> None:
+    """Pickle ``obj`` into an atomic, checksummed framed file at ``path``.
+
+    A save whose pickling raises never touches ``path``, and a crash
+    mid-write leaves the previous file intact.
+    """
+    write_framed(path, pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def load_snapshot(path: str, expected_type: type) -> Any:
+    """Load a file written by :func:`save_snapshot`, type- and version-checked.
+
+    Files without the frame magic are read as legacy plain pickles.  Raises
+    :class:`~repro.exceptions.DurabilityError` on a damaged frame,
+    :class:`~repro.exceptions.InvalidParameterError` when the file holds
+    anything but an ``expected_type`` instance, and
+    :class:`~repro.exceptions.SnapshotVersionError` on a newer format.
+    """
+    path = os.fspath(path)
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if data.startswith(SNAPSHOT_MAGIC):
+        data = _unframe(path, data)
+    snapshot = pickle.loads(data)
+    if not isinstance(snapshot, expected_type):
+        raise InvalidParameterError(
+            f"{path!r} does not contain a {expected_type.__name__}"
+        )
+    return check_snapshot_version(snapshot, source=repr(path))
 
 
 class SnapshotStore:
@@ -142,7 +181,7 @@ class SnapshotStore:
         existing = self.generations()
         generation = (existing[-1] + 1) if existing else 1
         path = self.path_for(generation)
-        write_framed(path, pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+        save_snapshot(obj, path)
         if metered:
             SNAPSHOT_WRITE_SECONDS.observe(time.perf_counter() - started)
         return generation, path

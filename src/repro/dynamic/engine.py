@@ -51,6 +51,7 @@ from repro._types import Element
 from repro.core import kernels
 from repro.core.checkpoint import (
     SNAPSHOT_FORMAT_VERSION,
+    SnapshotFile,
     check_snapshot_version,
     universe_fingerprint,
 )
@@ -85,7 +86,7 @@ _NEGATIVITY_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
-class EngineSnapshot:
+class EngineSnapshot(SnapshotFile):
     """A pickle-safe snapshot of a :class:`DynamicDiversifier`.
 
     Captures the *instance* (weights, distances, λ, p) and the maintained
@@ -111,19 +112,6 @@ class EngineSnapshot:
     active: Optional[Tuple[Element, ...]] = None
     format_version: int = SNAPSHOT_FORMAT_VERSION
     fingerprint: Optional[str] = None
-
-    def save(self, path: str) -> None:
-        """Pickle the snapshot to ``path``."""
-        from repro.core.checkpoint import save_checkpoint
-
-        save_checkpoint(self, path)
-
-    @staticmethod
-    def load(path: str) -> "EngineSnapshot":
-        """Load a snapshot previously written by :meth:`save`."""
-        from repro.core.checkpoint import load_checkpoint
-
-        return load_checkpoint(path, EngineSnapshot)
 
 
 class DynamicDiversifier:

@@ -37,6 +37,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from typing import (
+    Any,
     Callable,
     Dict,
     FrozenSet,
@@ -53,6 +54,7 @@ import numpy as np
 from repro._types import Element
 from repro.core.checkpoint import (
     SNAPSHOT_FORMAT_VERSION,
+    SnapshotFile,
     check_snapshot_version,
     universe_fingerprint,
 )
@@ -104,7 +106,7 @@ def _annotate_tick(tick_span, outcome: UpdateOutcome) -> None:
 
 
 @dataclass(frozen=True)
-class SessionSnapshot:
+class SessionSnapshot(SnapshotFile):
     """Pickle-safe snapshot of a sharded :class:`DynamicSession`.
 
     Plain arrays and tuples only (the metric factory is *not* captured —
@@ -136,19 +138,6 @@ class SessionSnapshot:
     core_stale: bool = False
     format_version: int = SNAPSHOT_FORMAT_VERSION
     fingerprint: Optional[str] = None
-
-    def save(self, path: str) -> None:
-        """Pickle the snapshot to ``path``."""
-        from repro.core.checkpoint import save_checkpoint
-
-        save_checkpoint(self, path)
-
-    @staticmethod
-    def load(path: str) -> "SessionSnapshot":
-        """Load a snapshot previously written by :meth:`save`."""
-        from repro.core.checkpoint import load_checkpoint
-
-        return load_checkpoint(path, SessionSnapshot)
 
 
 class ShardedDynamicEngine:
@@ -915,6 +904,28 @@ class DynamicSession:
         would have reached — invalid ticks included, since the backends
         reject those deterministically both live and on replay.
         """
+        backend = self._dense if self._dense is not None else self._sharded
+        return self._tick(batch, kwargs, lambda: backend.apply_events(batch, **kwargs))
+
+    def apply(self, perturbation: Perturbation, **kwargs) -> UpdateOutcome:
+        """Apply a single Section 6 perturbation (dense semantics when dense;
+        routed through a one-event batch on the sharded backend)."""
+        batch = EventBatch.from_perturbations([perturbation])
+        if self._dense is None:
+            return self.apply_events(batch, **kwargs)
+        # The dense engine's own ``apply`` records the perturbation in its
+        # history; the one-event batch is what the journal stores.
+        return self._tick(
+            batch, kwargs, lambda: self._dense.apply(perturbation, **kwargs)
+        )
+
+    def _tick(
+        self,
+        batch: EventBatch,
+        kwargs: Dict[str, Any],
+        step: Callable[[], UpdateOutcome],
+    ) -> UpdateOutcome:
+        """Journal ``batch``, run ``step``, then the session cadence."""
         trace = self._trace
         metered = TICKS.enabled()
         started = time.perf_counter()
@@ -936,10 +947,7 @@ class DynamicSession:
                     )
             apply_started = time.perf_counter()
             with maybe_span(trace, "apply"):
-                if self._dense is not None:
-                    outcome = self._dense.apply_events(batch, **kwargs)
-                else:
-                    outcome = self._sharded.apply_events(batch, **kwargs)
+                outcome = step()
             if metered:
                 TICK_SECONDS.observe(
                     time.perf_counter() - apply_started, phase="apply"
@@ -971,58 +979,6 @@ class DynamicSession:
                 trace, tick_span.id, total=time.perf_counter() - started
             )
         return outcome
-
-    def apply(self, perturbation: Perturbation, **kwargs) -> UpdateOutcome:
-        """Apply a single Section 6 perturbation (dense semantics when dense;
-        routed through a one-event batch on the sharded backend)."""
-        if self._dense is not None:
-            trace = self._trace
-            metered = TICKS.enabled()
-            started = time.perf_counter()
-            tick_span = maybe_start_span(
-                trace, "tick", tick=self._ticks, backend=self.mode, num_events=1
-            )
-            try:
-                if self._durable is not None:
-                    journal_started = time.perf_counter()
-                    with maybe_span(trace, "wal.journal"):
-                        self._durable.journal(
-                            EventBatch.from_perturbations([perturbation]), kwargs
-                        )
-                    if metered:
-                        TICK_SECONDS.observe(
-                            time.perf_counter() - journal_started, phase="journal"
-                        )
-                apply_started = time.perf_counter()
-                with maybe_span(trace, "apply"):
-                    outcome = self._dense.apply(perturbation, **kwargs)
-                if metered:
-                    TICK_SECONDS.observe(
-                        time.perf_counter() - apply_started, phase="apply"
-                    )
-                self._ticks += 1
-                if (
-                    self._on_checkpoint is not None
-                    and self._ticks % self._checkpoint_every == 0
-                ):
-                    with maybe_span(trace, "checkpoint"):
-                        self._on_checkpoint(self.snapshot())
-                if self._durable is not None:
-                    with maybe_span(trace, "wal.compact"):
-                        self._durable.maybe_compact(self)
-                _annotate_tick(tick_span, outcome)
-            finally:
-                tick_span.finish()
-            if metered:
-                TICKS.inc(backend=self.mode)
-            if trace is not None:
-                outcome.metadata["timings"] = phase_timings(
-                    trace, tick_span.id, total=time.perf_counter() - started
-                )
-            return outcome
-        return self.apply_events(
-            EventBatch.from_perturbations([perturbation]), **kwargs
-        )
 
     def resolve_full(self, **solve_kwargs):
         """Sharded mode: full re-solve (see

@@ -1,8 +1,7 @@
-"""Small shared utilities: deterministic RNG handling, timing, validation."""
+"""Small shared utilities: deadlines, deterministic RNG handling, validation."""
 
 from repro.utils.deadline import Deadline, mark_interrupted
 from repro.utils.rng import make_rng, spawn_rngs
-from repro.utils.timing import Stopwatch, timed
 from repro.utils.validation import (
     check_cardinality,
     check_elements,
@@ -17,8 +16,6 @@ __all__ = [
     "mark_interrupted",
     "make_rng",
     "spawn_rngs",
-    "Stopwatch",
-    "timed",
     "check_cardinality",
     "check_elements",
     "check_finite_array",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 import pickle
 import shutil
+import threading
 import dataclasses
 
 import numpy as np
@@ -28,7 +29,12 @@ from repro.core.checkpoint import (
     universe_fingerprint,
 )
 from repro.durability.recovery import DurableCheckpoint
-from repro.durability.snapshot import SnapshotStore, read_framed, write_framed
+from repro.durability.snapshot import (
+    SNAPSHOT_MAGIC,
+    SnapshotStore,
+    read_framed,
+    write_framed,
+)
 from repro.durability.wal import (
     RECORD_INIT,
     RECORD_TICK,
@@ -713,6 +719,96 @@ class TestSnapshotVersioning:
         with pytest.raises(SnapshotVersionError):
             PreparedCorpus.restore(bumped)
         path = str(tmp_path / "c.snap")
-        bumped.save(path, durable=True)
+        bumped.save(path)
         with pytest.raises(SnapshotVersionError):
             PreparedCorpus.load(path)
+
+
+# ----------------------------------------------------------------------
+# One snapshot codec: every snapshot type saves atomically and checksummed
+# ----------------------------------------------------------------------
+def _solve_checkpoint():
+    return SolveCheckpoint(
+        kind="greedy",
+        n=10,
+        p=3,
+        order=(4, 1),
+        fingerprint=universe_fingerprint("solve", "greedy", 10, 0.5),
+    )
+
+
+def _engine_snapshot():
+    weights, distances = _dense_instance()
+    return DynamicSession(weights, 4, distances=distances).snapshot()
+
+
+def _session_snapshot():
+    points, weights = _sharded_instance()
+    return DynamicSession(weights, 5, points=points, shard_size=16).snapshot()
+
+
+def _corpus_snapshot():
+    from repro.functions.modular import ModularFunction
+    from repro.metrics.euclidean import EuclideanMetric
+    from repro.serve.corpus import PreparedCorpus
+
+    rng = np.random.default_rng(0)
+    return PreparedCorpus(
+        ModularFunction(rng.random(20)),
+        EuclideanMetric(rng.random((20, 3))),
+        tradeoff=0.5,
+    ).snapshot()
+
+
+SNAPSHOT_FACTORIES = [
+    pytest.param(_solve_checkpoint, id="SolveCheckpoint"),
+    pytest.param(_engine_snapshot, id="EngineSnapshot"),
+    pytest.param(_session_snapshot, id="SessionSnapshot"),
+    pytest.param(_corpus_snapshot, id="CorpusSnapshot"),
+]
+
+
+@pytest.mark.parametrize("make_snapshot", SNAPSHOT_FACTORIES)
+class TestSnapshotCodec:
+    def test_failed_save_keeps_previous_file(self, tmp_path, make_snapshot):
+        snapshot = make_snapshot()
+        path = str(tmp_path / "state.snap")
+        snapshot.save(path)
+        # A lock cannot be pickled, so this save raises mid-serialization.
+        broken = dataclasses.replace(snapshot, fingerprint=threading.Lock())
+        with pytest.raises(TypeError):
+            broken.save(path)
+        loaded = type(snapshot).load(path)
+        assert type(loaded) is type(snapshot)
+        assert loaded.fingerprint == snapshot.fingerprint
+        assert os.listdir(tmp_path) == ["state.snap"]
+
+    def test_flipped_byte_detected(self, tmp_path, make_snapshot):
+        snapshot = make_snapshot()
+        path = str(tmp_path / "state.snap")
+        snapshot.save(path)
+        flip_byte(path, -4)
+        with pytest.raises(DurabilityError):
+            type(snapshot).load(path)
+
+    def test_legacy_plain_pickle_loads(self, tmp_path, make_snapshot):
+        snapshot = make_snapshot()
+        framed = str(tmp_path / "framed.snap")
+        snapshot.save(framed)
+        with open(framed, "rb") as handle:
+            assert handle.read(len(SNAPSHOT_MAGIC)) == SNAPSHOT_MAGIC
+        legacy = str(tmp_path / "legacy.pkl")
+        with open(legacy, "wb") as handle:
+            pickle.dump(snapshot, handle)
+        for path in (framed, legacy):
+            loaded = type(snapshot).load(path)
+            assert type(loaded) is type(snapshot)
+            assert loaded.fingerprint == snapshot.fingerprint
+
+    def test_legacy_plain_pickle_of_wrong_type_rejected(self, tmp_path, make_snapshot):
+        snapshot = make_snapshot()
+        path = str(tmp_path / "legacy.pkl")
+        with open(path, "wb") as handle:
+            pickle.dump({"not": "a snapshot"}, handle)
+        with pytest.raises(InvalidParameterError):
+            type(snapshot).load(path)

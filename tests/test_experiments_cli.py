@@ -38,6 +38,14 @@ class TestCli:
         assert "Sharded core-set solving" in output
         assert "Parity" in output
 
+    def test_serve_target(self, capsys):
+        # The quick config round-trips the corpus through its snapshot file
+        # (save, then load) before serving: the crash-restart handoff.
+        assert main(["serve", "--quick"]) == 0
+        output = capsys.readouterr().out
+        assert "Serving load" in output
+        assert "Cache hit rate" in output
+
     def test_unknown_target_rejected(self):
         with pytest.raises(SystemExit):
             main(["table99"])
