@@ -80,10 +80,11 @@ def _interleaved_seconds(plain, durable, batches):
     """
     sessions = (plain, durable)
     seconds = [0.0, 0.0]
-    # As in ``timeit``: a full collection pauses whichever session happens to
-    # be running, whatever allocated the garbage, so keep it out of the timing.
+    # The collector keeps running, so collections the journaling allocations
+    # trigger are still charged; freezing only stops every collection from
+    # scanning the objects that existed before the loop.
     gc.collect()
-    gc.disable()
+    gc.freeze()
     try:
         for tick, batch in enumerate(batches):
             for which in (0, 1) if tick % 2 == 0 else (1, 0):
@@ -91,7 +92,7 @@ def _interleaved_seconds(plain, durable, batches):
                 sessions[which].apply_events(batch)
                 seconds[which] += time.perf_counter() - started
     finally:
-        gc.enable()
+        gc.unfreeze()
     return seconds[0], seconds[1]
 
 

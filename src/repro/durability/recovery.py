@@ -294,7 +294,7 @@ class DurableStore:
 # ----------------------------------------------------------------------
 # Recovery
 # ----------------------------------------------------------------------
-def _latest_checkpoint(
+def _load_checkpoint(
     snapshots: SnapshotStore,
 ) -> Optional[DurableCheckpoint]:
     latest = snapshots.load_latest()
@@ -337,7 +337,7 @@ def recover_session(
     if os.path.exists(wal_path):
         records, valid_length = read_wal(wal_path, repair=True)
 
-    checkpoint = _latest_checkpoint(snapshots)
+    checkpoint = _load_checkpoint(snapshots)
 
     init_record = (
         records[0] if records and records[0].kind == RECORD_INIT else None

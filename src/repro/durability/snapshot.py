@@ -126,7 +126,8 @@ def load_snapshot(path: str, expected_type: type) -> Any:
     """Load a file written by :func:`save_snapshot`, type- and version-checked.
 
     Files without the frame magic are read as legacy plain pickles.  Raises
-    :class:`~repro.exceptions.DurabilityError` on a damaged frame,
+    :class:`~repro.exceptions.DurabilityError` on a damaged frame or a file
+    that unpickles as neither (damaged magic, a file cut short),
     :class:`~repro.exceptions.InvalidParameterError` when the file holds
     anything but an ``expected_type`` instance, and
     :class:`~repro.exceptions.SnapshotVersionError` on a newer format.
@@ -135,8 +136,14 @@ def load_snapshot(path: str, expected_type: type) -> Any:
     with open(path, "rb") as handle:
         data = handle.read()
     if data.startswith(SNAPSHOT_MAGIC):
-        data = _unframe(path, data)
-    snapshot = pickle.loads(data)
+        snapshot = pickle.loads(_unframe(path, data))
+    else:
+        try:
+            snapshot = pickle.loads(data)
+        except (pickle.UnpicklingError, EOFError) as exc:
+            raise DurabilityError(
+                f"{path} is neither a framed snapshot nor a plain pickle: {exc}"
+            ) from exc
     if not isinstance(snapshot, expected_type):
         raise InvalidParameterError(
             f"{path!r} does not contain a {expected_type.__name__}"

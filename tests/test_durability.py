@@ -791,6 +791,19 @@ class TestSnapshotCodec:
         with pytest.raises(DurabilityError):
             type(snapshot).load(path)
 
+    def test_damaged_magic_detected(self, tmp_path, make_snapshot):
+        snapshot = make_snapshot()
+        path = str(tmp_path / "state.snap")
+        snapshot.save(path)
+        flip_byte(path, 0)
+        with pytest.raises(DurabilityError):
+            type(snapshot).load(path)
+        # cut short inside the header, before the magic is complete
+        with open(path, "wb") as handle:
+            handle.write(SNAPSHOT_MAGIC[:5])
+        with pytest.raises(DurabilityError):
+            type(snapshot).load(path)
+
     def test_legacy_plain_pickle_loads(self, tmp_path, make_snapshot):
         snapshot = make_snapshot()
         framed = str(tmp_path / "framed.snap")
