@@ -387,14 +387,16 @@ def test_logdet_gains_speedup(benchmark):
     )
 
 
-def test_coverage_gains_speedup(benchmark):
+def _coverage_gains_guard(benchmark, n, num_topics, topics_per_element):
     """Batched coverage marginals ≥5× the covered-set-rebuilding oracle loop."""
     from repro.functions.coverage import CoverageFunction
 
-    function = CoverageFunction.random(SUB_N, 500, topics_per_element=4, seed=59)
+    function = CoverageFunction.random(
+        n, num_topics, topics_per_element=topics_per_element, seed=59
+    )
     rng = np.random.default_rng(59)
-    subset = frozenset(map(int, rng.choice(SUB_N, size=SUB_P, replace=False)))
-    candidates = np.arange(SUB_N)
+    subset = frozenset(map(int, rng.choice(n, size=SUB_P, replace=False)))
+    candidates = np.arange(n)
 
     def batched():
         state = function.gain_state(subset)
@@ -412,18 +414,29 @@ def test_coverage_gains_speedup(benchmark):
     np.testing.assert_allclose(batched_gains, reference, atol=1e-9, rtol=0)
 
     speedup = reference_seconds / max(batched_seconds, 1e-12)
-    benchmark.extra_info["n"] = SUB_N
+    benchmark.extra_info["n"] = n
+    benchmark.extra_info["topics"] = num_topics
     benchmark.extra_info["subset_size"] = SUB_P
     benchmark.extra_info["reference_seconds"] = round(reference_seconds, 6)
     benchmark.extra_info["speedup"] = round(speedup, 1)
     print(
-        f"\ncoverage marginals n={SUB_N}, |S|={SUB_P}: oracle loop "
-        f"{reference_seconds * 1e3:.1f} ms, incidence batch "
+        f"\ncoverage marginals n={n}, {num_topics} topics, |S|={SUB_P}: oracle "
+        f"loop {reference_seconds * 1e3:.1f} ms, CSR batch "
         f"{batched_seconds * 1e3:.2f} ms ({speedup:.0f}x)"
     )
     assert speedup >= MIN_COVERAGE_SPEEDUP, (
         f"batched coverage gains only {speedup:.1f}x faster than the oracle loop"
     )
+
+
+def test_coverage_gains_speedup(benchmark):
+    _coverage_gains_guard(benchmark, SUB_N, 500, topics_per_element=4)
+
+
+def test_coverage_gains_speedup_large_topic_universe(benchmark):
+    # About one topic per element, 3 per element: the shape of the coverage
+    # solve in the solve-batch workload (n=20 000).
+    _coverage_gains_guard(benchmark, 20_000, 20_000, topics_per_element=3)
 
 
 def test_local_search_convergence(benchmark):

@@ -154,6 +154,14 @@ def best_addition_scan(
     return int(idx[i]), float(scores[i])
 
 
+#: Rows per block of the :func:`pair_argmax` scan: each block's score
+#: temporary is ``_PAIR_BLOCK × k`` floats, never ``k × k``.
+_PAIR_BLOCK = 64
+#: ``_BELOW_DIAGONAL[r, c]``: block column ``c`` is the pool position
+#: ``start + 1 + c``, which is not above row ``start + r`` when ``c < r``.
+_BELOW_DIAGONAL = np.tril(np.ones((_PAIR_BLOCK, _PAIR_BLOCK), dtype=bool), k=-1)
+
+
 def pair_argmax(
     weights: np.ndarray,
     matrix: np.ndarray,
@@ -169,24 +177,40 @@ def pair_argmax(
     is an additional boolean feasibility matrix aligned with ``pool`` (e.g. a
     matroid's :meth:`~repro.matroids.base.Matroid.pair_feasibility_mask`
     restricted to the pool).  Returns ``None`` when no admissible pair exists.
+
+    The scan walks fixed blocks of :data:`_PAIR_BLOCK` rows, each against
+    the columns to its right, so memory stays O(k) per block; a later block
+    replaces the running best only when strictly better, which keeps the
+    row-major first-maximum tie-break of one full-matrix argmax.
     """
     idx = np.asarray(pool, dtype=int)
-    if idx.size < 2:
-        return None
-    scores = (
-        weights[idx][:, None]
-        + weights[idx][None, :]
-        + tradeoff * matrix[np.ix_(idx, idx)]
-    )
-    admissible = np.triu(np.ones((idx.size, idx.size), dtype=bool), k=1)
-    if mask is not None:
-        admissible &= mask
-    if not admissible.any():
-        return None
-    scores = np.where(admissible, scores, -np.inf)
-    flat = int(np.argmax(scores))
-    i, j = divmod(flat, idx.size)
-    return int(idx[i]), int(idx[j]), float(scores[i, j])
+    k = idx.size
+    w = weights[idx]
+    # A contiguous pool (the full universe, a sorted shard) reads its blocks
+    # by basic slicing instead of a fancy-indexed gather.
+    offset = int(idx[0]) if k and (np.diff(idx) == 1).all() else None
+    best: Optional[Tuple[Element, Element, float]] = None
+    best_score = -np.inf
+    for start in range(0, k - 1, _PAIR_BLOCK):
+        stop = min(start + _PAIR_BLOCK, k - 1)
+        rows = stop - start
+        if offset is None:
+            block = matrix[np.ix_(idx[start:stop], idx[start + 1 :])]
+        else:
+            first = offset + start
+            block = matrix[first : offset + stop, first + 1 : offset + k]
+        # (w(x) + w(y)) + λ·d(x, y), summed in the reference's order.
+        scores = np.multiply(block, tradeoff)
+        scores += w[start:stop, None] + w[None, start + 1 :]
+        scores[:, :rows][_BELOW_DIAGONAL[:rows, :rows]] = -np.inf
+        if mask is not None:
+            scores = np.where(mask[start:stop, start + 1 :], scores, -np.inf)
+        flat = int(np.argmax(scores))
+        r, c = divmod(flat, scores.shape[1])
+        if scores[r, c] > best_score:
+            best_score = float(scores[r, c])
+            best = (int(idx[start + r]), int(idx[start + 1 + c]), best_score)
+    return best
 
 
 def weight_swap_gains(

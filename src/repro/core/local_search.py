@@ -75,11 +75,16 @@ def _extend_to_basis(
 ) -> Set[Element]:
     """Extend an independent set to a basis, preferring high singleton quality
     so the starting basis is sensible."""
-    preference = sorted(
-        range(matroid.n),
-        key=lambda u: objective.quality.marginal(u, frozenset()),
-        reverse=True,
-    )
+    weights = kernels.modular_weights(objective.quality)
+    if weights is not None:
+        # Stable descending argsort: the order sorted(..., reverse=True) gives.
+        preference = np.argsort(-weights, kind="stable").tolist()
+    else:
+        preference = sorted(
+            range(matroid.n),
+            key=lambda u: objective.quality.marginal(u, frozenset()),
+            reverse=True,
+        )
     return set(matroid.extend_to_basis(set(independent), preference=preference))
 
 

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from repro._types import Element
 from repro.core.objective import Objective
 from repro.core.result import SolverResult
@@ -66,21 +68,23 @@ class Restriction:
         *,
         metric: Optional[Metric] = None,
     ) -> None:
-        idx = check_candidate_pool(candidates, objective.n)
+        pool = check_candidate_pool(candidates, objective.n)
         self._base = objective
-        self._globals: Tuple[Element, ...] = tuple(idx.tolist())
-        # Built lazily: the batched front end never needs the global→local
-        # map, and building one dict per query is measurable overhead.
+        # The canonical pool stays an array, so the sub-instance builders
+        # below take check_candidate_pool's O(k) sorted-array path; the tuple
+        # and the global→local map are built only when something reads them.
+        self._pool = pool
+        self._globals: Optional[Tuple[Element, ...]] = None
         self._locals: Optional[Dict[Element, Element]] = None
         if metric is None:
-            metric = objective.metric.restrict(self._globals)
-        elif metric.n != len(self._globals):
+            metric = objective.metric.restrict(pool)
+        elif metric.n != pool.size:
             raise InvalidParameterError(
                 f"supplied sub-metric covers {metric.n} elements but the pool "
-                f"has {len(self._globals)}"
+                f"has {pool.size}"
             )
         self._objective = Objective(
-            objective.quality.restrict(self._globals),
+            objective.quality.restrict(pool),
             metric,
             objective.tradeoff,
         )
@@ -101,17 +105,20 @@ class Restriction:
     @property
     def candidates(self) -> Tuple[Element, ...]:
         """The pool in canonical order: local ``i`` ↔ global ``candidates[i]``."""
+        if self._globals is None:
+            self._globals = tuple(self._pool.tolist())
         return self._globals
 
     @property
     def n(self) -> int:
         """Size of the restricted universe."""
-        return len(self._globals)
+        return int(self._pool.size)
 
     @property
     def is_identity(self) -> bool:
         """Whether the pool is the full universe in index order."""
-        return self._globals == tuple(range(self._base.n))
+        pool = self._pool
+        return pool.size == self._base.n and bool((pool == np.arange(pool.size)).all())
 
     # ------------------------------------------------------------------
     # Index translation
@@ -119,7 +126,7 @@ class Restriction:
     def to_local(self, elements: Iterable[Element]) -> List[Element]:
         """Map global indices into the restricted universe (pool members only)."""
         if self._locals is None:
-            self._locals = {g: i for i, g in enumerate(self._globals)}
+            self._locals = {g: i for i, g in enumerate(self.candidates)}
         try:
             return [self._locals[int(e)] for e in elements]
         except KeyError as error:
@@ -131,7 +138,7 @@ class Restriction:
 
     def to_global(self, elements: Iterable[Element]) -> List[Element]:
         """Map local (restricted) indices back into the corpus' universe."""
-        return [self._globals[e] for e in elements]
+        return self._pool[np.fromiter(elements, dtype=int)].tolist()
 
     # ------------------------------------------------------------------
     # Result lifting
@@ -145,7 +152,7 @@ class Restriction:
         entries (``pairs`` from Greedy A, ``swaps`` traces from local search).
         The pool itself is recorded under ``metadata["candidates"]``.
         """
-        g = self._globals
+        g = self.candidates
         metadata = dict(result.metadata)
         if "pairs" in metadata:
             metadata["pairs"] = [(g[u], g[v]) for u, v in metadata["pairs"]]
@@ -153,7 +160,7 @@ class Restriction:
             metadata["swaps"] = [
                 (g[u], g[v], gain) for u, v, gain in metadata["swaps"]
             ]
-        metadata["candidates"] = self._globals
+        metadata["candidates"] = g
         return SolverResult(
             selected=frozenset(g[e] for e in result.selected),
             order=tuple(g[e] for e in result.order),

@@ -8,17 +8,13 @@ many query aspects, the scenario the paper's introduction motivates
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Set
+from typing import Dict, Iterable, Mapping, Sequence, Set
 
 import numpy as np
 
 from repro._types import Element
 from repro.exceptions import InvalidParameterError
 from repro.functions.base import Candidates, GainState, SetFunction
-
-#: Largest ``n × num_topics`` incidence matrix (in entries) the batched-gains
-#: path will materialize; bigger instances use the per-candidate index path.
-_INCIDENCE_LIMIT = 64_000_000
 
 
 class _CoverageGainState(GainState):
@@ -29,6 +25,15 @@ class _CoverageGainState(GainState):
 
 class CoverageFunction(SetFunction):
     """Weighted set coverage.
+
+    The batched-gains protocol runs on a CSR layout built once at
+    construction: topic identifiers are re-indexed densely (first-seen
+    order), ``indptr`` delimits each element's row in one flat array of dense
+    topic ids, and a gain state is a boolean covered-topic mask.  ``gains``
+    gathers the candidates' rows and sums their uncovered weights with one
+    ``np.bincount``, so its cost is O(Σ|topics|) over the candidates whatever
+    the size of the topic universe.  ``value``/``marginal`` stay set-based
+    reference oracles.
 
     Parameters
     ----------
@@ -51,37 +56,21 @@ class CoverageFunction(SetFunction):
             if value < 0:
                 raise InvalidParameterError("topic weights must be non-negative")
         self._weights = weights
-        # Dense re-indexing of the (arbitrary) topic identifiers, backing the
-        # batched-gains path: topic id -> position in [0, T), per-topic weight
-        # array, and per-element dense-index arrays.
-        # First-seen dedupe, not sorted(): topic ids are arbitrary hashables
-        # and need not be mutually orderable.  Gains are weight sums, so the
-        # internal index assignment order never affects results.
-        topic_ids = list(
-            dict.fromkeys(t for topics in self._topics for t in topics)
+        # CSR layout over dense topic ids, built in one pass:
+        # ``topic_ids[indptr[u]:indptr[u + 1]]`` are element ``u``'s topics.
+        # Dense ids are assigned first-seen, not sorted(): topic ids are
+        # arbitrary hashables and need not be mutually orderable.  Gains are
+        # weight sums, so the assignment order never affects results.
+        dense: Dict[int, int] = {}
+        self._topic_ids = np.array(
+            [dense.setdefault(t, len(dense)) for ts in self._topics for t in ts],
+            dtype=np.intp,
         )
-        topic_index = {t: i for i, t in enumerate(topic_ids)}
+        self._indptr = np.zeros(len(self._topics) + 1, dtype=np.intp)
+        np.cumsum([len(ts) for ts in self._topics], out=self._indptr[1:])
         self._topic_weight_array = np.array(
-            [self._weight(t) for t in topic_ids], dtype=float
+            [self._weight(t) for t in dense], dtype=float
         )
-        self._element_topic_idx: List[np.ndarray] = [
-            np.fromiter(
-                sorted(topic_index[t] for t in topics), dtype=int, count=len(topics)
-            )
-            for topics in self._topics
-        ]
-        self._num_topic_ids = len(topic_ids)
-        # Dense element×topic incidence (capped so pathological topic
-        # universes do not explode memory; ``None`` beyond the cap and the
-        # per-candidate index path serves gains instead).  Built eagerly so
-        # ``gains`` is a pure read — the ``parallel_safe`` contract.
-        if self.n * self._num_topic_ids <= _INCIDENCE_LIMIT:
-            incidence = np.zeros((self.n, self._num_topic_ids), dtype=bool)
-            for element, topic_idx in enumerate(self._element_topic_idx):
-                incidence[element, topic_idx] = True
-            self._incidence: np.ndarray | None = incidence
-        else:
-            self._incidence = None
 
     @property
     def n(self) -> int:
@@ -115,35 +104,35 @@ class CoverageFunction(SetFunction):
     # ------------------------------------------------------------------
     # Batched marginal-gain protocol
     # ------------------------------------------------------------------
+    def _row(self, element: Element) -> np.ndarray:
+        """Element ``element``'s dense topic ids (a CSR row view)."""
+        return self._topic_ids[self._indptr[element] : self._indptr[element + 1]]
+
     def gain_state(self, subset=()) -> _CoverageGainState:
         """O(Σ|topics|) state build: the covered-topic mask of the subset."""
         state = _CoverageGainState(subset)
-        covered = np.zeros(self._num_topic_ids, dtype=bool)
+        covered = np.zeros(self._topic_weight_array.size, dtype=bool)
         for element in state.members:
-            covered[self._element_topic_idx[element]] = True
+            covered[self._row(element)] = True
         state.covered = covered
         return state
 
     def gains(self, candidates: Candidates, state: _CoverageGainState) -> np.ndarray:
-        """Batch gains: uncovered-incidence × weights (one masked matvec)."""
-        idx = np.asarray(candidates, dtype=int)
-        if idx.size == 0:
-            return np.zeros(0, dtype=float)
-        incidence = self._incidence
-        if incidence is not None:
-            fresh = incidence[idx] & ~state.covered[None, :]
-            return fresh.astype(float) @ self._topic_weight_array
-        out = np.empty(idx.size, dtype=float)
-        weights, covered = self._topic_weight_array, state.covered
-        for i, u in enumerate(idx):
-            topic_idx = self._element_topic_idx[u]
-            out[i] = weights[topic_idx[~covered[topic_idx]]].sum()
-        return out
+        """Batch gains: one gather of the candidates' CSR rows, then an
+        ``np.bincount`` of their uncovered weights per candidate."""
+        idx = np.asarray(candidates, dtype=np.intp)
+        starts = self._indptr[idx]
+        counts = self._indptr[idx + 1] - starts
+        owner = np.repeat(np.arange(idx.size), counts)
+        row_offsets = np.cumsum(counts) - counts
+        topics = self._topic_ids[np.arange(owner.size) + (starts - row_offsets)[owner]]
+        fresh = np.where(state.covered[topics], 0.0, self._topic_weight_array[topics])
+        return np.bincount(owner, weights=fresh, minlength=idx.size)
 
     def push(self, state: _CoverageGainState, element: Element) -> _CoverageGainState:
         """O(|topics(element)|) incremental update of the covered mask."""
         super().push(state, element)
-        state.covered[self._element_topic_idx[element]] = True
+        state.covered[self._row(element)] = True
         return state
 
     @property

@@ -11,12 +11,12 @@ Appendix's bad instance for the greedy algorithm.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Set
 
 import numpy as np
 
 from repro._types import Element
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, NotIndependentError
 from repro.matroids.base import Matroid
 from repro.utils.validation import check_candidate_pool
 
@@ -47,8 +47,8 @@ class PartitionMatroid(Matroid):
                 )
         self._capacities = caps
         self._block_sizes = Counter(self._block_of)
-        # Integer block codes + per-element capacities for the vectorized
-        # feasibility hooks (labels may be arbitrary hashables).
+        # Integer block codes + per-block and per-element capacities for the
+        # closed-form hooks (labels may be arbitrary hashables).
         label_code = {
             label: code for code, label in enumerate(dict.fromkeys(self._block_of))
         }
@@ -56,9 +56,10 @@ class PartitionMatroid(Matroid):
         self._codes = np.array(
             [label_code[label] for label in self._block_of], dtype=int
         )
-        self._element_capacity = np.array(
-            [self.capacity(label) for label in self._block_of], dtype=int
+        self._block_capacity = np.array(
+            [self.capacity(label) for label in label_code], dtype=int
         )
+        self._element_capacity = self._block_capacity[self._codes]
 
     # ------------------------------------------------------------------
     # Accessors
@@ -97,6 +98,35 @@ class PartitionMatroid(Matroid):
             sizes = Counter(self._block_of[e] for e in set(subset))
         return sum(min(count, self.capacity(label)) for label, count in sizes.items())
 
+    def extend_to_basis(
+        self,
+        subset: Iterable[Element],
+        *,
+        preference: Optional[Iterable[Element]] = None,
+    ) -> FrozenSet[Element]:
+        """Greedy completion in one O(n) walk over per-block slack counts.
+
+        Same result as the oracle-driven base method: each element of the
+        preference order joins while its block has spare capacity.
+        """
+        current: Set[Element] = set(subset)
+        if not self.is_independent(current):
+            raise NotIndependentError(
+                f"cannot extend a dependent set to a basis: {sorted(current)}"
+            )
+        used = np.bincount(self._codes[list(current)], minlength=self._num_blocks)
+        slack = (self._block_capacity - used).tolist()
+        codes = self._codes.tolist()
+        n = len(codes)
+        for element in range(n) if preference is None else preference:
+            if element in current or not 0 <= element < n:
+                continue
+            code = codes[element]
+            if slack[code] > 0:
+                slack[code] -= 1
+                current.add(element)
+        return frozenset(current)
+
     def swap_candidates(
         self, basis: Iterable[Element], incoming: Element
     ) -> Iterator[Element]:
@@ -127,13 +157,13 @@ class PartitionMatroid(Matroid):
         )
 
     def pair_feasibility_mask(self) -> np.ndarray:
-        codes = self._codes
-        caps = self._element_capacity
-        same_block = codes[:, None] == codes[None, :]
-        admissible = caps >= 1
-        cross = admissible[:, None] & admissible[None, :] & ~same_block
-        within = same_block & (caps >= 2)[:, None]
-        return cross | within
+        # Block-level table, then one row and one column gather: two
+        # elements of one block pair up when its capacity is at least 2, of
+        # different blocks when both capacities are at least 1.
+        admissible = self._block_capacity >= 1
+        table = admissible[:, None] & admissible[None, :]
+        np.fill_diagonal(table, self._block_capacity >= 2)
+        return table[self._codes][:, self._codes]
 
     def restrict(self, elements: Iterable[Element]) -> "PartitionMatroid":
         """Restriction keeps each element's block label and the block capacities."""

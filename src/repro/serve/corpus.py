@@ -17,7 +17,7 @@ that state:
 * the **warm gain state** for non-modular quality: building one empty
   :meth:`~repro.functions.base.SetFunction.gain_state` at prepare time runs
   the construction-time work the batched-gains protocol caches (coverage
-  incidence matrices, log-det validation probes), so the first real query
+  CSR layouts, log-det validation probes), so the first real query
   pays none of it;
 * an **LRU cache of restriction views** keyed by the (deduplicated) pool, so
   hot pools reuse their sub-instance across batch windows.
@@ -250,7 +250,7 @@ class PreparedCorpus:
         """The prepared empty gain state of a non-modular quality.
 
         Built once at prepare time (``warm=True``); the batched-gains
-        protocol's construction-time caches (coverage incidence matrices,
+        protocol's construction-time caches (coverage CSR layouts,
         log-det PSD probes) are warmed by building it, so per-query solves —
         whose restriction views compose the same underlying arrays — start
         hot.  ``None`` for modular corpora, which need no state at all.

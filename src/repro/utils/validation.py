@@ -73,15 +73,40 @@ def check_cardinality(p: int, n: int) -> int:
 def check_candidate_pool(elements: Iterable[int], n: int) -> np.ndarray:
     """Canonicalize a candidate pool against a universe of size ``n``.
 
-    Deduplicates in first-seen order and bounds-checks in one vectorized
-    pass.  Returns the canonical index array — the single dedupe/validation
-    rule every ``restrict`` implementation (metrics, functions, matroids,
-    :class:`~repro.core.restriction.Restriction`) shares.
+    Rejects boolean and non-integer pools, bounds-checks, and deduplicates
+    in first-seen order.  Returns a fresh canonical index array — the single
+    dedupe/validation rule every ``restrict`` implementation (metrics,
+    functions, matroids, :class:`~repro.core.restriction.Restriction`)
+    shares.  Array pools cost O(k) when strictly increasing (every shard and
+    restriction pool the library builds itself) and O(k log k) otherwise.
     """
-    idx = np.fromiter(dict.fromkeys(elements), dtype=int)
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        bad = int(idx.min()) if idx.min() < 0 else int(idx.max())
+    if isinstance(elements, np.ndarray):
+        idx = elements
+    else:
+        items = elements if isinstance(elements, (list, tuple)) else list(elements)
+        # NumPy would silently upcast booleans mixed with ints.
+        types = set(map(type, items))
+        if bool in types or np.bool_ in types:
+            raise InvalidParameterError(
+                "candidate pool must hold integer indices, got booleans"
+            )
+        idx = np.asarray(items)
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise InvalidParameterError(
+            "candidate pool must hold integer indices, got a "
+            f"{idx.ndim}-d {idx.dtype} array"
+        )
+    if idx.size == 0:
+        return np.zeros(0, dtype=int)
+    low, high = idx.min(), idx.max()
+    if low < 0 or high >= n:
+        bad = int(low) if low < 0 else int(high)
         raise InvalidParameterError(f"candidate {bad} outside the universe")
+    idx = idx.astype(int)
+    if not (idx[1:] > idx[:-1]).all():
+        _, first = np.unique(idx, return_index=True)
+        if first.size < idx.size:
+            idx = idx[np.sort(first)]
     return idx
 
 

@@ -171,6 +171,52 @@ class TestPairSeeding:
         assert move[2] == pytest.approx(fast.pair_value(*best_loop), abs=1e-9)
 
 
+def _pair_argmax_reference(weights, matrix, tradeoff, pool, mask=None):
+    """The double loop over pool positions ``i < j`` the blocked scan must
+    reproduce, first maximum in row-major order included."""
+    best = None
+    for i, x in enumerate(pool):
+        for j in range(i + 1, len(pool)):
+            if mask is not None and not mask[i, j]:
+                continue
+            y = pool[j]
+            score = (weights[x] + weights[y]) + tradeoff * matrix[x, y]
+            if best is None or score > best[2]:
+                best = (x, y, score)
+    return best
+
+
+class TestPairArgmaxBlocks:
+    # Sizes straddle the 64-row block: one row short, exact, one over, two
+    # blocks plus one row.
+    @pytest.mark.parametrize("size", [2, 63, 64, 65, 129])
+    @pytest.mark.parametrize("permuted", [False, True])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_matches_double_loop_with_exact_ties(self, size, permuted, masked):
+        rng = np.random.default_rng(size * 4 + 2 * permuted + masked)
+        n = size + 7
+        # Small integer weights and distances make many exact ties, so the
+        # row-major tie-break across block boundaries is exercised.
+        weights = rng.integers(0, 3, size=n).astype(float)
+        matrix = rng.integers(1, 4, size=(n, n)).astype(float)
+        matrix = np.maximum(matrix, matrix.T)
+        np.fill_diagonal(matrix, 0.0)
+        pool = rng.permutation(n)[:size] if permuted else np.arange(3, 3 + size)
+        mask = rng.random((size, size)) < 0.5 if masked else None
+        expected = _pair_argmax_reference(weights, matrix, 2.0, pool.tolist(), mask)
+        assert kernels.pair_argmax(weights, matrix, 2.0, pool, mask=mask) == expected
+
+    @pytest.mark.parametrize("size", [2, 65])
+    def test_all_false_mask_returns_none(self, size):
+        weights = np.ones(size)
+        matrix = np.ones((size, size))
+        mask = np.zeros((size, size), dtype=bool)
+        assert kernels.pair_argmax(weights, matrix, 1.0, range(size), mask=mask) is None
+
+    def test_pool_below_two_returns_none(self):
+        assert kernels.pair_argmax(np.ones(3), np.ones((3, 3)), 1.0, [1]) is None
+
+
 class TestSwapScanEquivalence:
     @pytest.mark.parametrize("seed", range(6))
     def test_uniform_matroid_scan(self, seed):

@@ -13,6 +13,8 @@ from typing import Iterable
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import InvalidParameterError
 from repro.functions import (
@@ -188,17 +190,25 @@ class TestGainStateBasics:
             function.gains(np.array([0, 1]), state), [2.0, 0.0]
         )
 
-    def test_coverage_incidence_cap_falls_back(self, monkeypatch):
-        # Force the no-incidence path (the cap is applied at construction,
-        # keeping gains a pure read) and check it still matches marginal.
-        monkeypatch.setattr("repro.functions.coverage._INCIDENCE_LIMIT", 0)
-        coverage = CoverageFunction.random(20, 12, seed=3)
-        assert coverage._incidence is None
-        state = coverage.gain_state({1, 2, 3})
-        batched = coverage.gains(np.arange(20), state)
-        looped = np.array(
-            [coverage.marginal(u, frozenset({1, 2, 3})) for u in range(20)]
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_coverage_csr_gains_match_marginal(self, data):
+        # The CSR gather + bincount against the set-based oracle, including
+        # elements with no topics, unorderable (mixed-type) topic ids, empty
+        # candidate batches and repeated candidates.
+        topic = st.one_of(st.integers(0, 9), st.sampled_from(["a", "b", ("t", 1)]))
+        element_topics = data.draw(
+            st.lists(st.sets(topic, max_size=4), min_size=1, max_size=12)
         )
+        weights = data.draw(st.dictionaries(topic, st.floats(0.0, 5.0), max_size=6))
+        coverage = CoverageFunction(element_topics, weights)
+        n = coverage.n
+        subset = frozenset(data.draw(st.sets(st.integers(0, n - 1), max_size=n)))
+        candidates = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+        state = coverage.gain_state(subset)
+        batched = coverage.gains(np.array(candidates, dtype=int), state)
+        looped = [coverage.marginal(u, subset) for u in candidates]
+        assert batched.shape == (len(candidates),)
         np.testing.assert_allclose(batched, looped, atol=TOLERANCE, rtol=0)
 
 

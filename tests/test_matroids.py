@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.exceptions import (
@@ -10,7 +11,7 @@ from repro.exceptions import (
     MatroidError,
     NotIndependentError,
 )
-from repro.matroids.base import restriction_feasible_pairs
+from repro.matroids.base import Matroid, restriction_feasible_pairs
 from repro.matroids.graphic import GraphicMatroid
 from repro.matroids.partition import PartitionMatroid
 from repro.matroids.transversal import TransversalMatroid
@@ -94,6 +95,37 @@ class TestPartitionMatroid:
         assert matroid.n == 5
         assert matroid.rank() == 3
         assert matroid.capacity(0) == 1
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_closed_forms_match_the_oracle(self, seed):
+        # The O(n) slack-count extend_to_basis against the base class's
+        # oracle walk, and the block-table pair mask against is_independent:
+        # random partitions with capacity-0 blocks, random independent
+        # starts and random full or partial preference orders.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        num_blocks = int(rng.integers(1, 6))
+        matroid = PartitionMatroid(
+            rng.integers(0, num_blocks, size=n).tolist(),
+            {b: int(rng.integers(0, 4)) for b in range(num_blocks)},
+        )
+        picks = rng.permutation(n)[: int(rng.integers(0, n + 1))].tolist()
+        start = Matroid.extend_to_basis(matroid, (), preference=picks)
+        orders = [None, rng.permutation(n).tolist(), rng.permutation(n)[: n // 2]]
+        for preference in orders:
+            expected = Matroid.extend_to_basis(matroid, start, preference=preference)
+            assert matroid.extend_to_basis(start, preference=preference) == expected
+        mask = matroid.pair_feasibility_mask()
+        for x in range(n):
+            for y in range(x + 1, n):
+                assert mask[x, y] == mask[y, x] == matroid.is_independent({x, y})
+
+    def test_extend_to_basis_rejects_dependent_input(self):
+        matroid = self._matroid()
+        with pytest.raises(NotIndependentError):
+            matroid.extend_to_basis({0, 1})
+        with pytest.raises(NotIndependentError):
+            matroid.extend_to_basis({2, 3, 4}, preference=[0, 1])
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(InvalidParameterError):

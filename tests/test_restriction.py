@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.restriction import Restriction
+from repro.core.sharding import solve_sharded
 from repro.core.solver import ALGORITHMS, solve
 from repro.core.streaming import streaming_diversify
 from repro.data.synthetic import make_synthetic_instance
@@ -28,6 +29,7 @@ from repro.matroids.truncation import TruncatedMatroid
 from repro.matroids.uniform import UniformMatroid
 from repro.metrics.base import Metric
 from repro.metrics.matrix import DistanceMatrix
+from repro.serve.corpus import PreparedCorpus
 
 
 class OracleMetric(Metric):
@@ -366,3 +368,65 @@ class TestRestrictionEquivalence:
         )
         assert result.selected <= set(pool)
         assert result.size == 3
+
+
+# ----------------------------------------------------------------------
+# Pool type validation at the public boundary
+# ----------------------------------------------------------------------
+_BAD_POOLS = [
+    np.array([True, False, True, True]),  # a mask, not the pool {0, 1}
+    [1.7, 2.2],  # would truncate to [1, 2]
+    np.array([3.0, 5.0]),
+]
+
+
+class TestPoolTypeRejection:
+    @pytest.fixture
+    def instance(self):
+        return make_synthetic_instance(12, seed=4)
+
+    @pytest.mark.parametrize("pool", _BAD_POOLS)
+    def test_solve(self, instance, pool):
+        with pytest.raises(InvalidParameterError):
+            solve(
+                instance.quality,
+                instance.metric,
+                tradeoff=instance.tradeoff,
+                p=2,
+                candidates=pool,
+            )
+
+    @pytest.mark.parametrize("pool", _BAD_POOLS)
+    def test_solve_sharded(self, instance, pool):
+        with pytest.raises(InvalidParameterError):
+            solve_sharded(
+                instance.quality,
+                instance.metric,
+                tradeoff=instance.tradeoff,
+                p=2,
+                shard_size=4,
+                candidates=pool,
+            )
+
+    @pytest.mark.parametrize("pool", _BAD_POOLS)
+    def test_prepared_corpus_restriction_for(self, instance, pool):
+        corpus = PreparedCorpus(
+            instance.quality, instance.metric, tradeoff=instance.tradeoff
+        )
+        with pytest.raises(InvalidParameterError):
+            corpus.restriction_for(pool)
+
+    def test_integer_scalars_and_arrays_still_accepted(self, instance):
+        pools = ([np.int64(3), 7, np.int32(1)], np.array([3, 7, 1], dtype=np.uint8))
+        results = [
+            solve(
+                instance.quality,
+                instance.metric,
+                tradeoff=instance.tradeoff,
+                p=2,
+                candidates=pool,
+            )
+            for pool in pools
+        ]
+        assert results[0].selected == results[1].selected
+        assert results[0].selected <= {1, 3, 7}

@@ -12,6 +12,7 @@ from repro.metrics.cosine import CosineMetric
 from repro.metrics.euclidean import EuclideanMetric
 from repro.obs.trace import Stopwatch, timed
 from repro.utils.validation import (
+    check_candidate_pool,
     check_cardinality,
     check_elements,
     check_finite_array,
@@ -67,6 +68,65 @@ class TestCardinality:
     def test_rejects_bool(self):
         with pytest.raises(InvalidParameterError):
             check_cardinality(True, 10)
+
+
+def _pool_outcome(pool, n):
+    try:
+        return check_candidate_pool(pool, n).tolist()
+    except InvalidParameterError as error:
+        return str(error)
+
+
+class TestCandidatePool:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(-3, 12), max_size=20))
+    def test_array_and_list_inputs_agree(self, pool):
+        # The sorted-array, np.unique and list paths give one answer: the
+        # in-range pool deduplicated in first-seen order, or one error.
+        forms = [
+            pool,
+            tuple(pool),
+            iter(pool),
+            np.array(pool, dtype=int),
+            np.array(pool, dtype=np.int32),
+            np.array(sorted(set(pool)), dtype=int),
+        ]
+        outcomes = [_pool_outcome(form, 10) for form in forms]
+        assert outcomes[:5] == [outcomes[0]] * 5
+        if all(0 <= u < 10 for u in pool):
+            assert outcomes[0] == list(dict.fromkeys(pool))
+            assert outcomes[5] == sorted(set(pool))
+        else:
+            assert isinstance(outcomes[0], str) and isinstance(outcomes[5], str)
+
+    def test_returns_a_fresh_array(self):
+        pool = np.arange(5)
+        out = check_candidate_pool(pool, 5)
+        out[0] = 4
+        assert pool[0] == 0
+
+    def test_accepts_numpy_integer_scalars_and_unsigned_arrays(self):
+        assert check_candidate_pool([np.int64(3), np.int32(1), 3], 5).tolist() == [3, 1]
+        assert check_candidate_pool(np.array([4, 0], np.uint16), 5).tolist() == [4, 0]
+        assert check_candidate_pool(np.array([]), 5).tolist() == []
+
+    @pytest.mark.parametrize(
+        "pool",
+        [
+            [True, False],
+            np.array([True, False, True]),
+            [1, True],
+            [np.bool_(True)],
+            [1.7, 2.2],
+            [1, 2.0],
+            np.array([1.0, 2.0]),
+            np.array([[0, 1], [2, 3]]),
+            ["a", "b"],
+        ],
+    )
+    def test_rejects_boolean_and_non_integer_pools(self, pool):
+        with pytest.raises(InvalidParameterError):
+            check_candidate_pool(pool, 5)
 
 
 class TestElements:
