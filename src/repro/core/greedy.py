@@ -46,19 +46,18 @@ from repro.utils.validation import check_cardinality
 _LAZY_BATCH = 8
 
 
-def _best_pair(objective: Objective, candidates: Iterable[Element]) -> tuple:
-    """Return the candidate pair maximizing ``f({x,y}) + λ·d(x,y)``."""
-    pool = list(candidates)
+def _best_pair(objective: Objective) -> tuple:
+    """Return the pair maximizing ``f({x,y}) + λ·d(x,y)`` over the universe."""
     fast = kernels.matrix_fast_path(objective)
-    if fast is not None and len(pool) >= 2:
+    if fast is not None and objective.n >= 2:
         weights, matrix = fast
-        move = kernels.pair_argmax(weights, matrix, objective.tradeoff, pool)
+        move = kernels.pair_argmax(weights, matrix, objective.tradeoff)
         assert move is not None
         return move[0], move[1]
     best = None
     best_value = -float("inf")
-    for i, x in enumerate(pool):
-        for y in pool[i + 1 :]:
+    for x in range(objective.n):
+        for y in range(x + 1, objective.n):
             value = objective.pair_value(x, y)
             if value > best_value:
                 best_value = value
@@ -187,7 +186,7 @@ def greedy_diversify(
         if deadline is not None and deadline.expired():
             interrupted = True
         else:
-            seeded = list(_best_pair(objective, range(n)))
+            seeded = list(_best_pair(objective))
             iterations += 1
     for element in seeded:
         selected.add(element)

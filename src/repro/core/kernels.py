@@ -155,10 +155,10 @@ def best_addition_scan(
 
 
 #: Rows per block of the :func:`pair_argmax` scan: each block's score
-#: temporary is ``_PAIR_BLOCK × k`` floats, never ``k × k``.
+#: temporary is ``_PAIR_BLOCK × n`` floats, never ``n × n``.
 _PAIR_BLOCK = 64
-#: ``_BELOW_DIAGONAL[r, c]``: block column ``c`` is the pool position
-#: ``start + 1 + c``, which is not above row ``start + r`` when ``c < r``.
+#: ``_BELOW_DIAGONAL[r, c]``: block column ``c`` is element ``start + 1 + c``,
+#: which is not above row ``start + r`` when ``c < r``.
 _BELOW_DIAGONAL = np.tril(np.ones((_PAIR_BLOCK, _PAIR_BLOCK), dtype=bool), k=-1)
 
 
@@ -166,42 +166,33 @@ def pair_argmax(
     weights: np.ndarray,
     matrix: np.ndarray,
     tradeoff: float,
-    pool: Sequence[Element],
     *,
     mask: Optional[np.ndarray] = None,
 ) -> Optional[Tuple[Element, Element, float]]:
-    """Best pair ``{x, y}`` by ``w(x) + w(y) + λ·d(x, y)`` over ``pool``.
+    """Best pair ``{x, y}`` by ``w(x) + w(y) + λ·d(x, y)`` over the universe.
 
-    Only the upper triangle in *pool order* is scanned, so ties resolve to the
-    pair the reference double loop would have picked.  ``mask``, when given,
-    is an additional boolean feasibility matrix aligned with ``pool`` (e.g. a
-    matroid's :meth:`~repro.matroids.base.Matroid.pair_feasibility_mask`
-    restricted to the pool).  Returns ``None`` when no admissible pair exists.
+    Only the upper triangle ``x < y`` is scanned, so ties resolve to the pair
+    the reference double loop would have picked.  ``mask``, when given, is an
+    additional boolean feasibility matrix (e.g. a matroid's
+    :meth:`~repro.matroids.base.Matroid.pair_feasibility_mask`).  Returns
+    ``None`` when no admissible pair exists.  A sub-pool is scanned by
+    passing its gathered weights and submatrix; positions then index the
+    pool.
 
     The scan walks fixed blocks of :data:`_PAIR_BLOCK` rows, each against
-    the columns to its right, so memory stays O(k) per block; a later block
+    the columns to its right, so memory stays O(n) per block; a later block
     replaces the running best only when strictly better, which keeps the
     row-major first-maximum tie-break of one full-matrix argmax.
     """
-    idx = np.asarray(pool, dtype=int)
-    k = idx.size
-    w = weights[idx]
-    # A contiguous pool (the full universe, a sorted shard) reads its blocks
-    # by basic slicing instead of a fancy-indexed gather.
-    offset = int(idx[0]) if k and (np.diff(idx) == 1).all() else None
+    n = len(weights)
     best: Optional[Tuple[Element, Element, float]] = None
     best_score = -np.inf
-    for start in range(0, k - 1, _PAIR_BLOCK):
-        stop = min(start + _PAIR_BLOCK, k - 1)
+    for start in range(0, n - 1, _PAIR_BLOCK):
+        stop = min(start + _PAIR_BLOCK, n - 1)
         rows = stop - start
-        if offset is None:
-            block = matrix[np.ix_(idx[start:stop], idx[start + 1 :])]
-        else:
-            first = offset + start
-            block = matrix[first : offset + stop, first + 1 : offset + k]
         # (w(x) + w(y)) + λ·d(x, y), summed in the reference's order.
-        scores = np.multiply(block, tradeoff)
-        scores += w[start:stop, None] + w[None, start + 1 :]
+        scores = np.multiply(matrix[start:stop, start + 1 :], tradeoff)
+        scores += weights[start:stop, None] + weights[None, start + 1 :]
         scores[:, :rows][_BELOW_DIAGONAL[:rows, :rows]] = -np.inf
         if mask is not None:
             scores = np.where(mask[start:stop, start + 1 :], scores, -np.inf)
@@ -209,7 +200,7 @@ def pair_argmax(
         r, c = divmod(flat, scores.shape[1])
         if scores[r, c] > best_score:
             best_score = float(scores[r, c])
-            best = (int(idx[start + r]), int(idx[start + 1 + c]), best_score)
+            best = (start + r, start + 1 + c, best_score)
     return best
 
 

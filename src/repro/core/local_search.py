@@ -110,7 +110,7 @@ def _initial_basis(objective: Objective, matroid: Matroid) -> Set[Element]:
         # O(n²) pair_value calls.
         weights, matrix = fast
         move = kernels.pair_argmax(
-            weights, matrix, objective.tradeoff, range(matroid.n), mask=pair_mask
+            weights, matrix, objective.tradeoff, mask=pair_mask
         )
         if move is not None:
             best_pair = (move[0], move[1])

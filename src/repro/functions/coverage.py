@@ -56,11 +56,16 @@ class CoverageFunction(SetFunction):
             if value < 0:
                 raise InvalidParameterError("topic weights must be non-negative")
         self._weights = weights
-        # CSR layout over dense topic ids, built in one pass:
-        # ``topic_ids[indptr[u]:indptr[u + 1]]`` are element ``u``'s topics.
-        # Dense ids are assigned first-seen, not sorted(): topic ids are
-        # arbitrary hashables and need not be mutually orderable.  Gains are
-        # weight sums, so the assignment order never affects results.
+        self._build_csr()
+
+    def _build_csr(self) -> None:
+        """Build the CSR layout over dense topic ids in one pass:
+        ``topic_ids[indptr[u]:indptr[u + 1]]`` are element ``u``'s topics.
+
+        Dense ids are assigned first-seen, not sorted(): topic ids are
+        arbitrary hashables and need not be mutually orderable.  Gains are
+        weight sums, so the assignment order never affects results.
+        """
         dense: Dict[int, int] = {}
         self._topic_ids = np.array(
             [dense.setdefault(t, len(dense)) for ts in self._topics for t in ts],
@@ -71,6 +76,15 @@ class CoverageFunction(SetFunction):
         self._topic_weight_array = np.array(
             [self._weight(t) for t in dense], dtype=float
         )
+
+    def __setstate__(self, state: Dict) -> None:
+        self.__dict__.update(state)
+        if "_indptr" not in state:
+            # A pickle of the earlier dense-incidence layout (for example a
+            # corpus snapshot's quality): drop its arrays, rebuild the CSR.
+            for stale in ("_incidence", "_element_topic_idx", "_num_topic_ids"):
+                self.__dict__.pop(stale, None)
+            self._build_csr()
 
     @property
     def n(self) -> int:

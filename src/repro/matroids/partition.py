@@ -47,8 +47,8 @@ class PartitionMatroid(Matroid):
                 )
         self._capacities = caps
         self._block_sizes = Counter(self._block_of)
-        # Integer block codes + per-block and per-element capacities for the
-        # closed-form hooks (labels may be arbitrary hashables).
+        # Integer block codes + per-block capacities for the closed-form
+        # hooks (labels may be arbitrary hashables).
         label_code = {
             label: code for code, label in enumerate(dict.fromkeys(self._block_of))
         }
@@ -59,7 +59,6 @@ class PartitionMatroid(Matroid):
         self._block_capacity = np.array(
             [self.capacity(label) for label in label_code], dtype=int
         )
-        self._element_capacity = self._block_capacity[self._codes]
 
     # ------------------------------------------------------------------
     # Accessors
@@ -151,7 +150,7 @@ class PartitionMatroid(Matroid):
             return np.ones((len(incoming), len(outgoing)), dtype=bool)
         usage = np.bincount(self._codes[members], minlength=max(self._num_blocks, 1))
         in_codes = self._codes[incoming]
-        slack = self._element_capacity[incoming] - usage[in_codes]
+        slack = self._block_capacity[in_codes] - usage[in_codes]
         return (slack[:, None] > 0) | (
             self._codes[outgoing][None, :] == in_codes[:, None]
         )

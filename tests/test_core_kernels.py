@@ -140,15 +140,25 @@ class TestPairSeeding:
     @pytest.mark.parametrize("seed", range(5))
     def test_best_pair_matches_loop(self, seed):
         fast, slow = paired_objectives(seed)
-        pool = list(range(fast.n))
-        assert _best_pair(fast, pool) == _best_pair(slow, pool)
+        assert _best_pair(fast) == _best_pair(slow)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_best_pair_on_restricted_pool(self, seed):
         fast, slow = paired_objectives(seed)
         rng = np.random.default_rng(seed + 100)
         pool = list(rng.choice(fast.n, size=17, replace=False))
-        assert _best_pair(fast, pool) == _best_pair(slow, pool)
+        restriction = fast.restrict(pool)
+        local = restriction.objective
+        slow_local = Objective(
+            local.quality, OracleOnlyMetric(local.metric), local.tradeoff
+        )
+        fast_pair = _best_pair(local)
+        assert fast_pair == _best_pair(slow_local)
+        # Local positions lift back to the pair the pool loop picks.
+        assert tuple(restriction.candidates[i] for i in fast_pair) == max(
+            ((x, y) for i, x in enumerate(pool) for y in pool[i + 1 :]),
+            key=lambda pair: slow.pair_value(*pair),
+        )
 
     @pytest.mark.parametrize("seed", range(3))
     def test_pair_argmax_respects_partition_mask(self, seed):
@@ -160,7 +170,6 @@ class TestPairSeeding:
             weights,
             matrix,
             fast.tradeoff,
-            range(fast.n),
             mask=matroid.pair_feasibility_mask(),
         )
         best_loop = max(
@@ -186,6 +195,17 @@ def _pair_argmax_reference(weights, matrix, tradeoff, pool, mask=None):
     return best
 
 
+def _pair_argmax_on_pool(weights, matrix, tradeoff, pool, mask=None):
+    """The blocked scan over a pool: gathered weights and submatrix, with the
+    returned positions mapped back to pool elements."""
+    move = kernels.pair_argmax(
+        weights[pool], matrix[np.ix_(pool, pool)], tradeoff, mask=mask
+    )
+    if move is None:
+        return None
+    return int(pool[move[0]]), int(pool[move[1]]), move[2]
+
+
 class TestPairArgmaxBlocks:
     # Sizes straddle the 64-row block: one row short, exact, one over, two
     # blocks plus one row.
@@ -204,17 +224,17 @@ class TestPairArgmaxBlocks:
         pool = rng.permutation(n)[:size] if permuted else np.arange(3, 3 + size)
         mask = rng.random((size, size)) < 0.5 if masked else None
         expected = _pair_argmax_reference(weights, matrix, 2.0, pool.tolist(), mask)
-        assert kernels.pair_argmax(weights, matrix, 2.0, pool, mask=mask) == expected
+        assert _pair_argmax_on_pool(weights, matrix, 2.0, pool, mask) == expected
 
     @pytest.mark.parametrize("size", [2, 65])
     def test_all_false_mask_returns_none(self, size):
         weights = np.ones(size)
         matrix = np.ones((size, size))
         mask = np.zeros((size, size), dtype=bool)
-        assert kernels.pair_argmax(weights, matrix, 1.0, range(size), mask=mask) is None
+        assert kernels.pair_argmax(weights, matrix, 1.0, mask=mask) is None
 
     def test_pool_below_two_returns_none(self):
-        assert kernels.pair_argmax(np.ones(3), np.ones((3, 3)), 1.0, [1]) is None
+        assert kernels.pair_argmax(np.ones(1), np.ones((1, 1)), 1.0) is None
 
 
 class TestSwapScanEquivalence:

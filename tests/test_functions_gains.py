@@ -9,6 +9,7 @@ freshly built one.
 
 from __future__ import annotations
 
+import pickle
 from typing import Iterable
 
 import numpy as np
@@ -210,6 +211,75 @@ class TestGainStateBasics:
         looped = [coverage.marginal(u, subset) for u in candidates]
         assert batched.shape == (len(candidates),)
         np.testing.assert_allclose(batched, looped, atol=TOLERANCE, rtol=0)
+
+
+def _legacy_coverage(coverage: CoverageFunction) -> CoverageFunction:
+    """A copy of ``coverage`` in the earlier dense-incidence attribute layout
+    (per-element dense topic index arrays plus an element×topic matrix), as
+    older pickles hold it."""
+    topic_ids = list(dict.fromkeys(t for ts in coverage._topics for t in ts))
+    index = {t: i for i, t in enumerate(topic_ids)}
+    element_topic_idx = [
+        np.array(sorted(index[t] for t in ts), dtype=int) for ts in coverage._topics
+    ]
+    incidence = np.zeros((coverage.n, len(topic_ids)), dtype=bool)
+    for element, topic_idx in enumerate(element_topic_idx):
+        incidence[element, topic_idx] = True
+    legacy = CoverageFunction.__new__(CoverageFunction)
+    legacy.__dict__.update(
+        _topics=coverage._topics,
+        _weights=coverage._weights,
+        _topic_weight_array=np.array([coverage._weight(t) for t in topic_ids]),
+        _element_topic_idx=element_topic_idx,
+        _num_topic_ids=len(topic_ids),
+        _incidence=incidence,
+    )
+    return legacy
+
+
+class TestCoverageLegacyPickle:
+    def test_legacy_layout_gains_match_marginal(self):
+        fresh = CoverageFunction.random(40, 25, seed=5)
+        restored = pickle.loads(pickle.dumps(_legacy_coverage(fresh)))
+        assert not hasattr(restored, "_incidence")
+        assert not hasattr(restored, "_element_topic_idx")
+        subset = frozenset({1, 7, 30})
+        candidates = np.array([0, 1, 2, 2, 39, 7])
+        state = restored.gain_state(subset)
+        np.testing.assert_allclose(
+            restored.gains(candidates, state),
+            [fresh.marginal(int(u), subset) for u in candidates],
+            atol=TOLERANCE,
+            rtol=0,
+        )
+        restored.push(state, 3)
+        np.testing.assert_array_equal(
+            restored.gains(candidates, state),
+            fresh.gains(candidates, fresh.gain_state(subset | {3})),
+        )
+
+    def test_legacy_layout_corpus_restore_solves(self):
+        from repro.serve import CorpusSnapshot, PreparedCorpus
+
+        quality = CoverageFunction.random(30, 20, seed=6)
+        points = np.random.default_rng(6).normal(size=(30, 3))
+        metric = DistanceMatrix(
+            np.linalg.norm(points[:, None] - points[None, :], axis=-1)
+        )
+        corpus = PreparedCorpus(quality, metric, tradeoff=0.5)
+        snapshot = corpus.snapshot()
+        legacy = CorpusSnapshot(
+            quality=_legacy_coverage(quality),
+            metric=snapshot.metric,
+            tradeoff=snapshot.tradeoff,
+            config=snapshot.config,
+            fingerprint=snapshot.fingerprint,
+        )
+        recovered = PreparedCorpus.restore(pickle.loads(pickle.dumps(legacy)))
+        expected = corpus.solve(None, p=4)
+        result = recovered.solve(None, p=4)
+        assert result.selected == expected.selected
+        assert result.objective_value == expected.objective_value
 
 
 class TestLogDetValidation:
