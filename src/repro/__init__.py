@@ -124,12 +124,7 @@ from repro.metrics import (
     PatchedMetric,
     UniformRandomMetric,
 )
-from repro.obs import (
-    MetricsRegistry,
-    Stopwatch,
-    Trace,
-    get_registry,
-)
+from repro.obs import MetricsRegistry, Trace, get_registry
 from repro.serve import (
     CorpusSnapshot,
     PreparedCorpus,
@@ -207,7 +202,6 @@ __all__ = [
     "Trace",
     "MetricsRegistry",
     "get_registry",
-    "Stopwatch",
     # serving
     "PreparedCorpus",
     "Server",

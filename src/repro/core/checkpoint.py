@@ -9,10 +9,9 @@ A :class:`SolveCheckpoint` is a plain-data snapshot of a solve in progress:
   shard layout plus the global-index winners of every shard solved so far,
   so a resumed run skips straight to the unsolved shards.
 
-Checkpoints hold only primitive Python/tuple data (like
-:class:`~repro.obs.trace.Stopwatch`, nothing in them depends on live locks,
-clocks or array views), so they pickle across process boundaries and can be
-written to disk between sessions.  Emission is pull-free: callers pass
+Checkpoints hold only primitive Python/tuple data (nothing in them depends
+on live locks, clocks or array views), so they pickle across process
+boundaries and can be written to disk between sessions.  Emission is pull-free: callers pass
 ``checkpoint_every=`` and an ``on_checkpoint`` callback to
 :func:`~repro.core.solver.solve`, and resume by passing the snapshot back as
 ``resume_from=``.

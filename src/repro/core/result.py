@@ -94,14 +94,20 @@ def build_result(
     elapsed_seconds: float = 0.0,
     metadata: Dict[str, Any] | None = None,
 ) -> SolverResult:
-    """Assemble a :class:`SolverResult`, evaluating the objective components."""
+    """Assemble a :class:`SolverResult`, evaluating ``f(S)`` and ``d(S)`` once.
+
+    ``φ(S)`` is formed from the two components with the same expression as
+    :meth:`~repro.core.objective.Objective.value`, so it is bit-identical.
+    """
     members = frozenset(selected)
+    quality_value = objective.quality_value(members)
+    dispersion_value = objective.dispersion_value(members)
     return SolverResult(
         selected=members,
         order=tuple(order),
-        objective_value=objective.value(members),
-        quality_value=objective.quality_value(members),
-        dispersion_value=objective.dispersion_value(members),
+        objective_value=quality_value + objective.tradeoff * dispersion_value,
+        quality_value=quality_value,
+        dispersion_value=dispersion_value,
         algorithm=algorithm,
         iterations=iterations,
         elapsed_seconds=elapsed_seconds,

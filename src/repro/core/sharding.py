@@ -30,8 +30,9 @@ core-set block — instead of O(n²).
 Fault tolerance
 ---------------
 Shard independence is also what makes the map *recoverable*: losing a shard
-loses only that shard's winners, never the solve.  The shard map therefore
-harvests futures individually (instead of ``Executor.map``) so that
+loses only that shard's winners, never the solve.  One executor,
+:class:`_ShardMap`, owns the whole map; it harvests futures individually
+(instead of ``Executor.map``) so that
 
 * a shard exceeding ``shard_timeout_s`` or a crashed process-pool worker
   (``BrokenProcessPool``) abandons the pool — ``shutdown(wait=False,
@@ -44,18 +45,22 @@ harvests futures individually (instead of ``Executor.map``) so that
   ``metadata["degraded"] = True`` flags the loss;
 * a cooperative :class:`~repro.utils.deadline.Deadline` caps the whole
   pipeline: it is shipped *into* every shard solve (re-anchoring across
-  process boundaries) and checked between harvests, so expiry stops
-  dispatching, keeps the winners gathered so far, and returns an interrupted
-  but feasible result;
+  process boundaries) and checked between harvests and before every serial
+  attempt (it also caps each backoff sleep), so expiry stops dispatching,
+  keeps the winners gathered so far, and returns an interrupted but
+  feasible result;
 * periodic :class:`~repro.core.checkpoint.SolveCheckpoint` snapshots record
   the global winners of every solved shard, so a resumed run skips straight
-  to the shards that were lost.
+  to the shards that were lost.  A shard the deadline cut short adds its
+  partial winners to this run's core-set but is not recorded as solved.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Union
 
 import numpy as np
 
@@ -78,7 +83,7 @@ from repro.obs.instrument import (
     maybe_start_span,
     phase_timings,
 )
-from repro.obs.trace import SpanBundle, Stopwatch, Trace
+from repro.obs.trace import SpanBundle, Trace
 from repro.utils.deadline import Deadline, mark_interrupted
 from repro.utils.validation import check_candidate_pool
 
@@ -165,36 +170,37 @@ def _materialize_objective(objective: Objective) -> Objective:
     return Objective(objective.quality, matrix, objective.tradeoff)
 
 
+class _ShardOutcome(NamedTuple):
+    """What one shard solve ships back to the parent."""
+
+    winners: List[Element]  # sorted shard-local indices
+    interrupted: bool  # the deadline cut the shard's solve short
+    bundle: SpanBundle
+
+
 def _solve_shard(
-    payload: Tuple[
-        Objective,
-        str,
-        int,
-        Optional[LocalSearchConfig],
-        bool,
-        Optional[Deadline],
-        int,
-        bool,
-    ],
-) -> Tuple[List[Element], SpanBundle]:
-    """Solve one shard sub-instance; returns (local winners, span bundle).
+    objective: Objective,
+    *,
+    index: int,
+    algorithm: str,
+    p: int,
+    config: Optional[LocalSearchConfig],
+    materialize: bool,
+    deadline: Optional[Deadline],
+    traced: bool,
+) -> _ShardOutcome:
+    """Solve one shard sub-instance.
 
-    Top-level so process pools can pickle it.  Materialization happens *here*
-    rather than in the parent, so with a pool the block computations run in
-    the workers (threads: NumPy releases the GIL; processes: each worker owns
-    its block) and the parent never holds more than one shard's payload.  The
-    deadline rides along in the payload: pickling re-anchors it with the
-    parent's remaining budget, so even inside a process-pool worker the
-    per-shard greedy stops cooperatively.
-
-    Timing and tracing share one code path: the worker records into its own
-    local :class:`~repro.obs.trace.Trace` (contextvars and pickled traces
-    cannot cross pool boundaries) and ships the bundle back with the result —
-    the bundle's root ``shard`` span *is* the shard's elapsed-seconds record,
-    and when the parent solve is traced (``payload[-1]``) the inner solve
-    phases ride along and are adopted into the parent trace.
+    Top-level so process pools can pickle it: the shard map submits it as a
+    :func:`functools.partial` over these keywords.  Materialization happens
+    here, in the worker, so the parent never holds more than one shard's
+    block.  Pickling re-anchors the deadline with the parent's remaining
+    budget, so the per-shard solve stops cooperatively even in a process
+    pool, and the outcome says whether it did.  The worker traces into its
+    own :class:`~repro.obs.trace.Trace` and ships the bundle back: its root
+    ``shard`` span is the shard's elapsed time, and when the parent solve is
+    traced the inner phases ride along to be adopted.
     """
-    objective, algorithm, p, config, materialize, deadline, index, traced = payload
     from repro.core.solver import _dispatch
 
     worker_trace = Trace()
@@ -214,7 +220,212 @@ def _solve_shard(
             trace=worker_trace if traced else None,
         )
         handle.set(selected=len(result.selected))
-    return sorted(result.selected), worker_trace.bundle()
+    return _ShardOutcome(
+        sorted(result.selected),
+        bool(result.metadata.get("interrupted", False)),
+        worker_trace.bundle(),
+    )
+
+
+@dataclass
+class _ShardMap:
+    """The shard map: runs shard solves and folds their outcomes into one state.
+
+    It owns every policy between "these shards need solving" and "here are
+    their winners": pooled or serial execution, per-shard timeout harvest,
+    pool abandonment and salvage, serial retries with deadline-capped
+    exponential backoff, failure records (``failures``, the
+    ``SHARD_FAILURES`` counter and a synthetic ``shard`` span per failure),
+    span-bundle adoption, ``shard_seconds`` and checkpoint emission.
+
+    ``winners`` maps each shard that produced winners to their global ids;
+    ``solved`` holds the shards that finished, the only ones a checkpoint
+    records.  A shard the deadline cut short still adds its partial winners
+    to this run's core-set, but it is not solved, so a resume re-solves it.
+    """
+
+    parts: List[np.ndarray]
+    winners: Dict[int, np.ndarray]
+    solved: Set[int]
+    deadline: Optional[Deadline]
+    shard_timeout_s: Optional[float]
+    shard_retries: int
+    retry_backoff_s: float
+    trace: Optional[Trace]
+    root_id: Optional[int]
+    on_checkpoint: Optional[Callable[[SolveCheckpoint], None]]
+    checkpoint_every: Optional[int]
+    checkpoint: Callable[..., SolveCheckpoint]  # all but the progress fields bound
+    started: float
+    failures: List[dict] = field(default_factory=list)
+    shard_seconds: float = 0.0
+    interrupted: bool = False
+    degraded: bool = False
+    completions: int = 0
+
+    def run(
+        self,
+        tasks: Dict[int, Callable[[], _ShardOutcome]],
+        executor: Optional[str],
+        max_workers: Optional[int],
+    ) -> None:
+        """Solve ``tasks`` (shard index → solve), on a pool when ``executor``."""
+        if self._expired():
+            self.interrupted = True
+            return
+        if executor is not None:
+            tasks = self._run_pool(tasks, executor, max_workers)
+            if not tasks:
+                return
+            self.degraded = True
+        self._run_serial(tasks)
+
+    def _expired(self) -> bool:
+        return self.deadline is not None and self.deadline.expired()
+
+    def _run_serial(self, tasks: Dict[int, Callable[[], _ShardOutcome]]) -> None:
+        """In-process shard solves with bounded exponential-backoff retries.
+
+        The deadline is checked before every attempt and caps every backoff
+        sleep, so retries never run the solve past its budget.
+        """
+        for index, task in tasks.items():
+            error: Optional[BaseException] = None
+            for attempt in range(self.shard_retries + 1):
+                if attempt and self.retry_backoff_s > 0:
+                    backoff = self.retry_backoff_s * (2 ** (attempt - 1))
+                    if self.deadline is not None:
+                        backoff = min(backoff, self.deadline.remaining())
+                    time.sleep(min(backoff, _MAX_BACKOFF_SECONDS))
+                if self._expired():
+                    self.interrupted = True
+                    break
+                try:
+                    outcome = task()
+                except Exception as exc:
+                    error = exc
+                    continue
+                error = None
+                self._record_success(index, outcome)
+                break
+            if error is not None:
+                # The shard is lost: record it and move on with a smaller
+                # core-set rather than failing the whole solve.
+                self.degraded = True
+                self._record_failure(index, "serial", error)
+            if self.interrupted:
+                return
+
+    def _run_pool(
+        self,
+        tasks: Dict[int, Callable[[], _ShardOutcome]],
+        executor: str,
+        max_workers: Optional[int],
+    ) -> Dict[int, Callable[[], _ShardOutcome]]:
+        """Pooled shard map; returns the shards that need the serial fallback.
+
+        Futures are harvested in submission order with a per-shard timeout.
+        Any unrecoverable pool condition — a shard overrunning
+        ``shard_timeout_s`` (a hung worker cannot be cancelled individually)
+        or a crashed worker process (``BrokenProcessPool``) — abandons the
+        pool with ``shutdown(wait=False, cancel_futures=True)``, keeps every
+        already-finished shard's result, and hands the rest back for serial
+        in-process execution.  The pool is never allowed to kill the solve.
+        """
+        from concurrent.futures import (
+            BrokenExecutor,
+            ProcessPoolExecutor,
+            ThreadPoolExecutor,
+        )
+        from concurrent.futures import TimeoutError as FutureTimeoutError
+
+        pool_cls = ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
+        fallback: Dict[int, Callable[[], _ShardOutcome]] = {}
+        workers = pool_cls(max_workers=max_workers)
+        abandoned = False
+        try:
+            futures = {index: workers.submit(task) for index, task in tasks.items()}
+            for index, future in futures.items():
+                if abandoned:
+                    # Completed futures keep their results even after the
+                    # pool broke or was abandoned; harvest them for free.
+                    if future.done():
+                        try:
+                            self._record_success(index, future.result(timeout=0))
+                        except Exception as error:
+                            self._record_failure(index, "worker", error)
+                            fallback[index] = tasks[index]
+                    elif not self.interrupted:
+                        fallback[index] = tasks[index]
+                    continue
+                budget = self.shard_timeout_s
+                if self.deadline is not None:
+                    remaining = self.deadline.remaining()
+                    budget = remaining if budget is None else min(budget, remaining)
+                try:
+                    outcome = future.result(timeout=budget)
+                except FutureTimeoutError as error:
+                    abandoned = True
+                    if self._expired():
+                        # The global budget ran out, not the shard; skip the
+                        # unfinished shards without blaming them.
+                        self.interrupted = True
+                    else:
+                        self.degraded = True
+                        self._record_failure(index, "worker_timeout", error)
+                        fallback[index] = tasks[index]
+                except BrokenExecutor as error:
+                    abandoned = True
+                    self.degraded = True
+                    self._record_failure(index, "worker_crash", error)
+                    fallback[index] = tasks[index]
+                except Exception as error:
+                    # The shard itself raised inside a healthy worker; retry
+                    # it serially, keep harvesting the others from the pool.
+                    self._record_failure(index, "worker", error)
+                    fallback[index] = tasks[index]
+                else:
+                    self._record_success(index, outcome)
+        finally:
+            workers.shutdown(wait=False, cancel_futures=True)
+        return fallback
+
+    def _record_success(self, index: int, outcome: _ShardOutcome) -> None:
+        local = np.asarray(outcome.winners, dtype=int)
+        self.winners[index] = self.parts[index][local]
+        # Only shards that finished ship a bundle back, and its root span is
+        # the shard's elapsed time: spans and shard_seconds agree.
+        self.shard_seconds += outcome.bundle.elapsed
+        if self.trace is not None:
+            self.trace.adopt(outcome.bundle, parent_id=self.root_id)
+        if outcome.interrupted:
+            self.interrupted = True
+            return
+        self.solved.add(index)
+        self.completions += 1
+        every = self.checkpoint_every
+        if self.on_checkpoint is not None and self.completions % every == 0:
+            solved = {i: tuple(self.winners[i].tolist()) for i in sorted(self.solved)}
+            elapsed = time.perf_counter() - self.started
+            self.on_checkpoint(
+                self.checkpoint(shard_winners=solved, elapsed_seconds=elapsed)
+            )
+
+    def _record_failure(self, index: int, stage: str, error: BaseException) -> None:
+        self.failures.append({"shard": index, "stage": stage, "error": repr(error)})
+        if SHARD_FAILURES.enabled():
+            SHARD_FAILURES.inc(stage=stage)
+        if self.trace is not None:
+            # A crashed or timed-out worker takes its locally recorded spans
+            # with it; record a synthetic zero-duration shard span so the
+            # loss is visible in the trace instead of silent.
+            self.trace.record_span(
+                "shard",
+                parent_id=self.root_id,
+                status=stage,
+                shard=index,
+                error=repr(error),
+            )
 
 
 def solve_sharded(
@@ -280,8 +491,8 @@ def solve_sharded(
         Optional pool for the shard map: ``executor="thread"`` (honored only
         when the metric reports :attr:`~repro.metrics.base.Metric.parallel_safe`
         and the quality slices are array-backed) or ``executor="process"``
-        (sub-instances are pickled to workers; shard timings are merged back
-        into the parent, see :class:`~repro.obs.trace.Stopwatch`).
+        (sub-instances are pickled to workers).  Each worker ships its shard
+        span bundle back, and ``shard_seconds`` sums their elapsed times.
     local_search_config:
         Forwarded to any local-search stage (shard and final).
     deadline:
@@ -386,24 +597,13 @@ def solve_sharded(
             deadline_s=deadline,
             trace=trace,
         )
-        metadata = dict(result.metadata)
-        metadata["sharding"] = {
+        sharding = {
             "shards": 1,
             "shard_sizes": [int(pool.size)],
             "core_size": int(pool.size),
             "degenerate": True,
         }
-        return SolverResult(
-            selected=result.selected,
-            order=result.order,
-            objective_value=result.objective_value,
-            quality_value=result.quality_value,
-            dispersion_value=result.dispersion_value,
-            algorithm=result.algorithm,
-            iterations=result.iterations,
-            elapsed_seconds=result.elapsed_seconds,
-            metadata=metadata,
-        )
+        return replace(result, metadata={**result.metadata, "sharding": sharding})
 
     shard_algorithm = shard_algorithm or "greedy"
     from repro.core.solver import ALGORITHMS, _dispatch
@@ -436,9 +636,8 @@ def solve_sharded(
             for index, global_winners in resume_from.shard_winners.items()
         }
 
-    # Explicit-start root span: the pipeline below has several return points
-    # (empty core-set, normal) and the span must outlive them all; the
-    # ``finalize_trace`` helper closes it and derives ``metadata["timings"]``.
+    # Explicit-start root span, closed at the end together with the
+    # ``metadata["timings"]`` breakdown derived from it.
     root = maybe_start_span(
         trace,
         "solve_sharded",
@@ -448,224 +647,32 @@ def solve_sharded(
         executor=executor,
     )
 
-    def finalize_trace(metadata: dict, elapsed: float) -> None:
-        if SOLVES.enabled():
-            SOLVES.inc(path="sharded")
-            SOLVE_SECONDS.observe(elapsed, path="sharded")
-        if trace is None:
-            return
-        root.set(
-            core_size=metadata["sharding"]["core_size"],
-            degraded=degraded,
-            interrupted=interrupted,
-        )
-        root.finish()
-        metadata["timings"] = phase_timings(trace, root.id, total=elapsed)
-
     # Build the shard sub-instances (cheap: lazy metric slices + weight
-    # slices), keeping the winners of shards no bigger than their quota
-    # without solving at all, and skipping shards a resume checkpoint
-    # already covers.
-    restrictions: List[Optional[Restriction]] = []
-    payloads: List[Tuple[int, tuple]] = []
-    winners: List[np.ndarray] = [np.zeros(0, dtype=int)] * len(parts)
-    solved_mask = [False] * len(parts)
+    # slices), settling shards no bigger than their quota without solving at
+    # all, and shards a resume checkpoint already covers.
+    settled = dict(resumed)
+    tasks: Dict[int, Callable[[], _ShardOutcome]] = {}
     with maybe_span(trace, "restrict", shards=len(parts)):
         for index, shard in enumerate(parts):
-            if index in resumed:
-                winners[index] = resumed[index]
-                solved_mask[index] = True
-                restrictions.append(None)
+            if index in settled:
                 continue
             if shard.size <= keep:
-                winners[index] = shard
-                solved_mask[index] = True
-                restrictions.append(None)
+                settled[index] = shard
                 continue
             restriction = Restriction(
                 objective, shard, metric=sub_metric(metric, shard, materialize=False)
             )
-            restrictions.append(restriction)
-            payloads.append(
-                (
-                    index,
-                    (
-                        restriction.objective,
-                        shard_algorithm,
-                        keep,
-                        local_search_config,
-                        materialize_shards,
-                        deadline,
-                        index,
-                        trace is not None,
-                    ),
-                )
+            tasks[index] = partial(
+                _solve_shard,
+                restriction.objective,
+                index=index,
+                algorithm=shard_algorithm,
+                p=keep,
+                config=local_search_config,
+                materialize=materialize_shards,
+                deadline=deadline,
+                traced=trace is not None,
             )
-
-    shard_watch = Stopwatch()
-    failures: List[dict] = []
-    interrupted = False
-    degraded = False
-    completions = 0
-
-    def emit_checkpoint() -> None:
-        on_checkpoint(
-            SolveCheckpoint(
-                kind="sharded",
-                n=objective.n,
-                p=p,
-                shard_winners={
-                    index: tuple(np.asarray(winners[index]).tolist())
-                    for index in range(len(parts))
-                    if solved_mask[index]
-                },
-                shard_sizes=shard_sizes,
-                elapsed_seconds=time.perf_counter() - started,
-                metadata={
-                    "algorithm": algorithm,
-                    "shard_algorithm": shard_algorithm,
-                },
-                fingerprint=fingerprint,
-            )
-        )
-
-    def record_success(
-        index: int, local_winners: List[Element], bundle: SpanBundle
-    ) -> None:
-        nonlocal completions
-        restriction = restrictions[index]
-        winners[index] = np.asarray(restriction.to_global(local_winners), dtype=int)
-        solved_mask[index] = True
-        # Tolerant timing merge: only shards that actually finished ship a
-        # span bundle back; lost workers simply contribute nothing here
-        # instead of poisoning the merged total.  The bundle's root span
-        # duration *is* the shard's elapsed time — span and stopwatch
-        # accounting share this one code path.
-        shard_watch.add(bundle.elapsed)
-        if trace is not None:
-            trace.adopt(bundle, parent_id=root.id)
-        completions += 1
-        if on_checkpoint is not None and completions % checkpoint_every == 0:
-            emit_checkpoint()
-
-    def record_failure(index: int, stage: str, error: BaseException) -> None:
-        failures.append({"shard": index, "stage": stage, "error": repr(error)})
-        if SHARD_FAILURES.enabled():
-            SHARD_FAILURES.inc(stage=stage)
-        if trace is not None:
-            # A crashed or timed-out worker takes its locally recorded spans
-            # with it; record a synthetic zero-duration shard span so the
-            # loss is visible in the trace instead of silent.
-            trace.record_span(
-                "shard",
-                parent_id=root.id,
-                status=stage,
-                shard=index,
-                error=repr(error),
-            )
-
-    def run_serial(tasks: List[Tuple[int, tuple]]) -> None:
-        """In-process shard solves with bounded exponential-backoff retries."""
-        nonlocal interrupted, degraded
-        for index, task in tasks:
-            if deadline is not None and deadline.expired():
-                interrupted = True
-                break
-            last_error: Optional[BaseException] = None
-            for attempt in range(shard_retries + 1):
-                if attempt and retry_backoff_s > 0:
-                    time.sleep(
-                        min(
-                            retry_backoff_s * (2 ** (attempt - 1)),
-                            _MAX_BACKOFF_SECONDS,
-                        )
-                    )
-                try:
-                    local_winners, bundle = _solve_shard(task)
-                except Exception as error:
-                    last_error = error
-                    continue
-                record_success(index, local_winners, bundle)
-                last_error = None
-                break
-            if last_error is not None:
-                # The shard is lost: record it and move on with a smaller
-                # core-set rather than failing the whole solve.
-                degraded = True
-                record_failure(index, "serial", last_error)
-
-    def run_pool(tasks: List[Tuple[int, tuple]]) -> List[Tuple[int, tuple]]:
-        """Pooled shard map; returns the shards that need the serial fallback.
-
-        Futures are harvested in submission order with a per-shard timeout.
-        Any unrecoverable pool condition — a shard overrunning
-        ``shard_timeout_s`` (a hung worker cannot be cancelled individually)
-        or a crashed worker process (``BrokenProcessPool``) — abandons the
-        pool with ``shutdown(wait=False, cancel_futures=True)``, keeps every
-        already-finished shard's result, and hands the rest back for serial
-        in-process execution.  The pool is never allowed to kill the solve.
-        """
-        nonlocal interrupted, degraded
-        from concurrent.futures import (
-            BrokenExecutor,
-            ProcessPoolExecutor,
-            ThreadPoolExecutor,
-        )
-        from concurrent.futures import TimeoutError as FutureTimeoutError
-
-        pool_cls = ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
-        fallback: List[Tuple[int, tuple]] = []
-        workers = pool_cls(max_workers=max_workers)
-        abandoned = False
-        try:
-            submitted = [
-                (index, task, workers.submit(_solve_shard, task))
-                for index, task in tasks
-            ]
-            for index, task, future in submitted:
-                if abandoned:
-                    # Completed futures keep their results even after the
-                    # pool broke or was abandoned; harvest them for free.
-                    if future.done():
-                        try:
-                            record_success(index, *future.result(timeout=0))
-                        except Exception as error:
-                            record_failure(index, "worker", error)
-                            fallback.append((index, task))
-                    elif not interrupted:
-                        fallback.append((index, task))
-                    continue
-                budget = shard_timeout_s
-                if deadline is not None:
-                    remaining = deadline.remaining()
-                    budget = remaining if budget is None else min(budget, remaining)
-                try:
-                    local_winners, bundle = future.result(timeout=budget)
-                except FutureTimeoutError as error:
-                    abandoned = True
-                    if deadline is not None and deadline.expired():
-                        # The global budget ran out, not the shard; skip the
-                        # unfinished shards without blaming them.
-                        interrupted = True
-                    else:
-                        degraded = True
-                        record_failure(index, "worker_timeout", error)
-                        fallback.append((index, task))
-                except BrokenExecutor as error:
-                    abandoned = True
-                    degraded = True
-                    record_failure(index, "worker_crash", error)
-                    fallback.append((index, task))
-                except Exception as error:
-                    # The shard itself raised inside a healthy worker; retry
-                    # it serially, keep harvesting the others from the pool.
-                    record_failure(index, "worker", error)
-                    fallback.append((index, task))
-                else:
-                    record_success(index, local_winners, bundle)
-        finally:
-            workers.shutdown(wait=False, cancel_futures=True)
-        return fallback
 
     array_backed = weights_view_of(objective.quality) is not None
     # Thread-pooled shard maps need every oracle touched by a worker to be a
@@ -678,7 +685,7 @@ def solve_sharded(
     use_pool = (
         max_workers is not None
         and max_workers > 1
-        and len(payloads) > 1
+        and len(tasks) > 1
         and (
             executor == "process"
             or (
@@ -687,102 +694,91 @@ def solve_sharded(
             )
         )
     )
-    if deadline is not None and deadline.expired():
-        interrupted = True
-    elif use_pool:
-        fallback = run_pool(payloads)
-        if fallback:
-            degraded = True
-            run_serial(fallback)
-    else:
-        run_serial(payloads)
+    shard_map = _ShardMap(
+        parts,
+        settled,
+        set(settled),
+        deadline=deadline,
+        shard_timeout_s=shard_timeout_s,
+        shard_retries=shard_retries,
+        retry_backoff_s=retry_backoff_s,
+        trace=trace,
+        root_id=root.id,
+        on_checkpoint=on_checkpoint,
+        checkpoint_every=checkpoint_every,
+        checkpoint=partial(
+            SolveCheckpoint,
+            kind="sharded",
+            n=objective.n,
+            p=p,
+            shard_sizes=shard_sizes,
+            metadata={"algorithm": algorithm, "shard_algorithm": shard_algorithm},
+            fingerprint=fingerprint,
+        ),
+        started=started,
+    )
+    shard_map.run(tasks, executor if use_pool else None, max_workers)
 
+    winners = [np.zeros(0, dtype=int), *shard_map.winners.values()]
     core = np.sort(np.concatenate(winners))
-    if core.size == 0:
+    if core.size:
+        with maybe_span(
+            trace, "final_solve", core=int(core.size), algorithm=algorithm
+        ):
+            final_restriction = Restriction(
+                objective,
+                core,
+                metric=sub_metric(
+                    metric, core, algorithm not in _LAZY_FRIENDLY_ALGORITHMS
+                ),
+            )
+            final_p = min(p, core.size)
+            if algorithm == "local_search":
+                # Seed the final search with the core-set greedy solution
+                # instead of the default best-pair basis: the shard stage
+                # already paid for good winners, and a bounded search budget
+                # should refine them, not rebuild from scratch.
+                from repro.core.greedy import greedy_diversify
+                from repro.core.local_search import local_search_diversify
+                from repro.matroids.uniform import UniformMatroid
+
+                seed = greedy_diversify(
+                    final_restriction.objective,
+                    final_p,
+                    deadline=deadline,
+                    trace=trace,
+                )
+                final = local_search_diversify(
+                    final_restriction.objective,
+                    UniformMatroid(final_restriction.n, final_p),
+                    config=local_search_config,
+                    initial=seed.selected,
+                    deadline=deadline,
+                )
+            else:
+                final = _dispatch(
+                    final_restriction.objective,
+                    algorithm,
+                    p=final_p,
+                    matroid=None,
+                    local_search_config=local_search_config,
+                    deadline=deadline,
+                    trace=trace,
+                )
+            result = final_restriction.lift(final)
+    else:
         # Every shard was lost (or the deadline expired before any winners
         # existed): the only feasible answer left is the empty selection.
-        metadata = {"p": p}
-        if user_pool is not None:
-            metadata["candidates"] = tuple(user_pool.tolist())
-        metadata["sharding"] = {
-            "shards": len(parts),
-            "shard_sizes": list(shard_sizes),
-            "core_size": 0,
-            "per_shard_p": keep,
-            "shard_algorithm": shard_algorithm,
-            "materialized_shards": bool(materialize_shards),
-            "executor": executor if use_pool else None,
-            "shard_seconds": shard_watch.elapsed_seconds,
-            "failures": failures,
-            "failed_shards": sorted(
-                index for index in range(len(parts)) if not solved_mask[index]
-            ),
-        }
-        if degraded:
-            metadata["degraded"] = True
-            metadata["degradation"] = "shard_map"
-        if interrupted:
-            mark_interrupted(metadata, deadline, "shard_map")
-        elapsed = time.perf_counter() - started
-        finalize_trace(metadata, elapsed)
-        return build_result(
-            objective,
-            set(),
-            [],
-            algorithm=algorithm,
-            iterations=0,
-            elapsed_seconds=elapsed,
-            metadata=metadata,
+        result = build_result(
+            objective, set(), [], algorithm=algorithm, metadata={"p": p}
         )
-
-    final_materialize = algorithm not in _LAZY_FRIENDLY_ALGORITHMS
-    with maybe_span(
-        trace, "final_solve", core=int(core.size), algorithm=algorithm
-    ):
-        final_restriction = Restriction(
-            objective, core, metric=sub_metric(metric, core, final_materialize)
-        )
-        final_p = min(p, core.size)
-        if algorithm == "local_search":
-            # Seed the final search with the core-set greedy solution instead
-            # of the default best-pair basis: the shard stage already paid
-            # for good winners, and a bounded search budget should refine
-            # them, not rebuild from scratch.
-            from repro.core.greedy import greedy_diversify
-            from repro.core.local_search import local_search_diversify
-            from repro.matroids.uniform import UniformMatroid
-
-            seed = greedy_diversify(
-                final_restriction.objective,
-                final_p,
-                deadline=deadline,
-                trace=trace,
-            )
-            final = local_search_diversify(
-                final_restriction.objective,
-                UniformMatroid(final_restriction.n, final_p),
-                config=local_search_config,
-                initial=seed.selected,
-                deadline=deadline,
-            )
-        else:
-            final = _dispatch(
-                final_restriction.objective,
-                algorithm,
-                p=final_p,
-                matroid=None,
-                local_search_config=local_search_config,
-                deadline=deadline,
-                trace=trace,
-            )
-        result = final_restriction.lift(final)
 
     metadata = dict(result.metadata)
     if user_pool is not None:
         metadata["candidates"] = tuple(user_pool.tolist())
     else:
-        del metadata["candidates"]
-    metadata["sharding"] = {
+        metadata.pop("candidates", None)
+    sharding = {
         "shards": len(parts),
         "shard_sizes": list(shard_sizes),
         "core_size": int(core.size),
@@ -790,30 +786,31 @@ def solve_sharded(
         "shard_algorithm": shard_algorithm,
         "materialized_shards": bool(materialize_shards),
         "executor": executor if use_pool else None,
-        "shard_seconds": shard_watch.elapsed_seconds,
+        "shard_seconds": shard_map.shard_seconds,
     }
-    if failures or any(not flag for flag in solved_mask):
-        metadata["sharding"]["failures"] = failures
-        metadata["sharding"]["failed_shards"] = sorted(
-            index for index in range(len(parts)) if not solved_mask[index]
-        )
+    failed_shards = sorted(set(range(len(parts))) - shard_map.winners.keys())
+    if shard_map.failures or failed_shards or not core.size:
+        sharding["failures"] = shard_map.failures
+        sharding["failed_shards"] = failed_shards
     if resumed:
-        metadata["sharding"]["resumed_shards"] = sorted(resumed)
-    if degraded:
+        sharding["resumed_shards"] = sorted(resumed)
+    metadata["sharding"] = sharding
+    if shard_map.degraded:
         metadata["degraded"] = True
         metadata["degradation"] = "shard_map"
-    if interrupted:
+    if shard_map.interrupted:
         mark_interrupted(metadata, deadline, "shard_map")
+
     elapsed = time.perf_counter() - started
-    finalize_trace(metadata, elapsed)
-    return SolverResult(
-        selected=result.selected,
-        order=result.order,
-        objective_value=result.objective_value,
-        quality_value=result.quality_value,
-        dispersion_value=result.dispersion_value,
-        algorithm=result.algorithm,
-        iterations=result.iterations,
-        elapsed_seconds=elapsed,
-        metadata=metadata,
-    )
+    if SOLVES.enabled():
+        SOLVES.inc(path="sharded")
+        SOLVE_SECONDS.observe(elapsed, path="sharded")
+    if trace is not None:
+        root.set(
+            core_size=int(core.size),
+            degraded=shard_map.degraded,
+            interrupted=shard_map.interrupted,
+        )
+        root.finish()
+        metadata["timings"] = phase_timings(trace, root.id, total=elapsed)
+    return replace(result, elapsed_seconds=elapsed, metadata=metadata)

@@ -491,32 +491,19 @@ class ShardedDynamicEngine:
     # ------------------------------------------------------------------
     # Repair
     # ------------------------------------------------------------------
-    def _solve_shard(self, shard: int) -> np.ndarray:
-        ids = self._shard_live(shard)
-        if ids.size <= self._per_shard_p:
+    def _greedy_on(self, ids: np.ndarray, k: int) -> np.ndarray:
+        """Greedy B's ``k`` winners over the sorted slots ``ids``, sorted.
+
+        The restrict → greedy → map-back step of both shard and core repair.
+        """
+        if ids.size <= k:
             return ids
         metric = sub_metric(self.metric(), ids, materialize=False)
         objective = Objective(
             ModularFunction(self._weights[ids]), metric, self._tradeoff
         )
-        result = greedy_diversify(objective, self._per_shard_p)
+        result = greedy_diversify(objective, k)
         return ids[np.fromiter(sorted(result.selected), dtype=int)]
-
-    def _solve_core(self) -> None:
-        parts = [w for w in self._winners.values() if w.size]
-        live_solution = [e for e in self._solution if self._active[e]]
-        if live_solution:
-            parts.append(np.asarray(live_solution, dtype=int))
-        if not parts:
-            self._solution = set()
-            return
-        core = np.unique(np.concatenate(parts))
-        metric = sub_metric(self.metric(), core, materialize=False)
-        objective = Objective(
-            ModularFunction(self._weights[core]), metric, self._tradeoff
-        )
-        result = greedy_diversify(objective, min(self._p, int(core.size)))
-        self._solution = {int(core[i]) for i in result.selected}
 
     def _repair(self, dirty: Set[int], *, touched_members: bool) -> bool:
         """Re-solve dirty shards, then the core when anything relevant moved."""
@@ -528,7 +515,9 @@ class ShardedDynamicEngine:
             previous = self._winners.get(shard)
             try:
                 with maybe_span(self.trace, "repair.shard", shard=shard):
-                    winners = self._solve_shard(shard)
+                    winners = self._greedy_on(
+                        self._shard_live(shard), self._per_shard_p
+                    )
             except Exception as error:  # containment: keep stale winners
                 failed_shards.append(shard)
                 self._failures.append(
@@ -556,7 +545,10 @@ class ShardedDynamicEngine:
             return False
         try:
             with maybe_span(self.trace, "repair.core"):
-                self._solve_core()
+                live = [e for e in self._solution if self._active[e]]
+                parts = [*self._winners.values(), np.asarray(live, dtype=int)]
+                core = np.unique(np.concatenate(parts))
+                self._solution = set(self._greedy_on(core, self._p).tolist())
             self._core_stale = False
         except Exception as error:
             self._failures.append(

@@ -33,7 +33,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     get_registry,
 )
-from repro.obs.trace import Span, SpanBundle, SpanHandle, Stopwatch, Trace, timed
+from repro.obs.trace import Span, SpanBundle, SpanHandle, Trace, timed
 
 __all__ = [
     "Counter",
@@ -45,7 +45,6 @@ __all__ = [
     "Span",
     "SpanBundle",
     "SpanHandle",
-    "Stopwatch",
     "Trace",
     "get_registry",
     "maybe_span",

@@ -18,8 +18,7 @@ design goals, in order:
   a pickled :class:`Trace` would be an orphaned copy.  Pool workers instead
   record spans into their *own* local trace and ship a :class:`SpanBundle`
   back with the shard result; the parent folds it in with
-  :meth:`Trace.adopt` — the same ship-it-back pattern
-  :meth:`Stopwatch.merge` has always used for shard timings.
+  :meth:`Trace.adopt`.  The bundle doubles as the shard's timing record.
 * **Readable.**  :meth:`Trace.export` writes Chrome ``trace_event`` JSON
   loadable in ``chrome://tracing`` or `Perfetto <https://ui.perfetto.dev>`_.
 
@@ -48,7 +47,6 @@ __all__ = [
     "Span",
     "SpanBundle",
     "SpanHandle",
-    "Stopwatch",
     "Trace",
     "timed",
 ]
@@ -97,9 +95,9 @@ class SpanBundle:
     ``epoch_unix`` anchors the worker trace's epoch on the Unix clock so the
     parent can rebase span offsets into its own timeline (see
     :meth:`Trace.adopt`).  The bundle also *is* the shard's timing record:
-    :attr:`elapsed` sums the root spans' durations, which is what the parent
-    folds into its shard :class:`Stopwatch` — one code path for span and
-    stopwatch accounting.
+    :attr:`elapsed` sums the root spans' durations, and the shard map adds
+    it to ``metadata["sharding"]["shard_seconds"]`` — one code path for span
+    and elapsed-time accounting.
     """
 
     spans: Tuple[Span, ...]
@@ -412,79 +410,6 @@ class Trace:
         with open(path, "w", encoding="utf-8") as stream:
             json.dump(self.to_chrome(), stream)
         return path
-
-
-@dataclass
-class Stopwatch:
-    """Accumulating stopwatch with millisecond reporting.
-
-    The scalar little sibling of :class:`Trace`: where a trace records *which*
-    phases time went to, a stopwatch only accumulates a total — which is all
-    the shard map's ``shard_seconds`` metadata needs.  Both use the same
-    ship-it-back pattern for pool workers: workers measure locally and the
-    parent folds the result in (:meth:`add` / :meth:`merge` here,
-    :meth:`Trace.adopt` for spans).
-
-    Example
-    -------
-    >>> watch = Stopwatch()
-    >>> with watch.measure():
-    ...     _ = sum(range(1000))
-    >>> watch.elapsed_ms >= 0.0
-    True
-    """
-
-    elapsed_seconds: float = field(default=0.0)
-
-    def __post_init__(self) -> None:
-        self._lock = threading.Lock()
-
-    @contextmanager
-    def measure(self) -> Iterator[None]:
-        """Context manager adding the block's duration to the total.
-
-        Thread-safe: concurrent ``measure`` blocks from pool workers all land
-        in the total without losing updates to the read-modify-write race.
-        """
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(time.perf_counter() - start)
-
-    def add(self, seconds: float) -> None:
-        """Fold an externally measured duration into the total.
-
-        This is the process-pool pattern: workers report their own elapsed
-        seconds (mutating a pickled stopwatch copy would be lost with the
-        worker) and the parent accumulates them here.
-        """
-        with self._lock:
-            self.elapsed_seconds += seconds
-
-    def merge(self, other: "Stopwatch") -> None:
-        """Fold another stopwatch's total into this one."""
-        self.add(other.elapsed_seconds)
-
-    @property
-    def elapsed_ms(self) -> float:
-        """Total elapsed time in milliseconds."""
-        return self.elapsed_seconds * 1000.0
-
-    def reset(self) -> None:
-        """Zero the accumulated time."""
-        with self._lock:
-            self.elapsed_seconds = 0.0
-
-    # Locks cannot cross process boundaries; drop the lock when pickling into
-    # a pool worker and recreate a fresh one on arrival.  The copy is fully
-    # independent of the parent stopwatch by construction.
-    def __getstate__(self) -> dict:
-        return {"elapsed_seconds": self.elapsed_seconds}
-
-    def __setstate__(self, state: dict) -> None:
-        self.elapsed_seconds = state["elapsed_seconds"]
-        self._lock = threading.Lock()
 
 
 def timed(func: Callable[[], T]) -> Tuple[T, float]:

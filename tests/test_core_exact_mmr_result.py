@@ -113,6 +113,33 @@ class TestSolverResult:
         assert result.size == 2
         assert result.sorted_elements() == (0, 2)
 
+    def test_build_result_evaluates_each_component_once(self):
+        from repro.functions.modular import ModularFunction
+        from repro.metrics.euclidean import EuclideanMetric
+
+        calls = {"value": 0, "distance": 0}
+
+        class CountingQuality(ModularFunction):
+            def value(self, subset):
+                calls["value"] += 1
+                return super().value(subset)
+
+        class CountingMetric(EuclideanMetric):
+            def distance(self, u, v):
+                calls["distance"] += 1
+                return super().distance(u, v)
+
+        rng = np.random.default_rng(5)
+        objective = Objective(
+            CountingQuality(rng.uniform(size=6)),
+            CountingMetric(rng.normal(size=(6, 2))),
+            0.5,
+        )
+        result = build_result(objective, {0, 2, 5}, [0, 2, 5], algorithm="test")
+        # One f(S) and one pass over the three pairs of S.
+        assert calls == {"value": 1, "distance": 3}
+        assert result.objective_value == objective.value({0, 2, 5})
+
     def test_approximation_factor(self):
         result = SolverResult(
             selected=frozenset({0}),

@@ -245,6 +245,36 @@ class TestCheckpointResume:
             middle.shard_winners
         )
 
+    def test_shard_cut_short_by_deadline_is_not_checkpointed(self):
+        # Shard 0's greedy sleeps on its first distance query and the deadline
+        # expires meanwhile, so it stops after one winner.  Those partial
+        # winners may join this run's core-set, but a checkpoint must not
+        # record the shard as solved: a resume would skip it and silently
+        # return a worse answer.
+        from repro.data.synthetic import make_feature_instance
+
+        inst = make_feature_instance(2000, dimension=4, seed=3)
+        kwargs = dict(tradeoff=inst.tradeoff, p=5, shards=4)
+        full = solve_sharded(inst.quality, inst.metric, **kwargs)
+        checkpoints = []
+        cut = solve_sharded(
+            inst.quality,
+            SlowMetric(inst.metric, 0.3, only_in_workers=False),
+            deadline=0.1,
+            on_checkpoint=checkpoints.append,
+            **kwargs,
+        )
+        assert cut.metadata["interrupted"] is True
+        assert all(0 not in c.shard_winners for c in checkpoints)
+        resumed = solve_sharded(
+            inst.quality,
+            inst.metric,
+            resume_from=checkpoints[-1] if checkpoints else None,
+            **kwargs,
+        )
+        assert resumed.selected == full.selected
+        assert resumed.objective_value == full.objective_value
+
     def test_sharded_resume_rejects_layout_mismatch(self, instance):
         quality, metric = instance
         checkpoints = []
@@ -365,6 +395,26 @@ class TestShardRecovery:
         assert len(result.selected) == 5
         # The single injected crash was absorbed by a retry: nothing lost.
         assert "degraded" not in result.metadata
+
+    def test_serial_retry_backoff_stops_at_deadline(self, instance):
+        # Every attempt crashes; a 1 s backoff must not carry the solve past
+        # its 0.2 s budget, and no retry may run once the budget is spent.
+        quality, metric = instance
+        started = time.perf_counter()
+        result = solve_sharded(
+            quality,
+            CrashingMetric(metric),
+            tradeoff=0.8,
+            p=5,
+            shards=4,
+            deadline=0.2,
+            shard_retries=2,
+            retry_backoff_s=1.0,
+        )
+        assert time.perf_counter() - started < 0.5
+        assert result.metadata["interrupted"] is True
+        assert result.metadata["degraded"] is True
+        assert result.metadata["sharding"]["failed_shards"] == [0, 1, 2, 3]
 
     def test_all_shards_lost_returns_empty_degraded(self, instance):
         quality, metric = instance

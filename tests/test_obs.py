@@ -31,7 +31,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     get_registry,
 )
-from repro.obs.trace import NULL_HANDLE, SpanBundle, Stopwatch, Trace
+from repro.obs.trace import NULL_HANDLE, SpanBundle, Trace
 from repro.serve.server import ServerStats
 
 
@@ -265,6 +265,26 @@ class TestInstrumentedSolve:
             if e["args"]["parent_id"] in {s["args"]["span_id"] for s in shards}
         ]
         assert nested, "expected spans nested under the shard spans"
+
+    def test_shard_seconds_sum_the_shard_spans(self, instance):
+        # shard_seconds is summed from the adopted bundles' elapsed times, so
+        # it agrees with the shard spans the trace holds.
+        from repro.core.sharding import solve_sharded
+
+        trace = Trace()
+        result = solve_sharded(
+            instance.quality,
+            instance.metric,
+            tradeoff=instance.tradeoff,
+            p=5,
+            shards=4,
+            trace=trace,
+        )
+        shards = [s for s in trace.spans() if s.name == "shard"]
+        assert len(shards) == 4
+        assert result.metadata["sharding"]["shard_seconds"] == pytest.approx(
+            sum(s.duration_s for s in shards)
+        )
 
     def test_dynamic_tick_export_nesting(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -536,20 +556,3 @@ class TestServerStats:
         for event in executes + waits:
             assert event["args"]["parent_id"] in window_ids
         assert sum(w["args"]["completed"] for w in windows) == 3
-
-
-# ----------------------------------------------------------------------
-# Stopwatch (absorbed into the span layer, API unchanged)
-# ----------------------------------------------------------------------
-class TestStopwatchCompat:
-    def test_bundle_elapsed_matches_stopwatch_pattern(self):
-        # The shard map folds bundle.elapsed into its shard Stopwatch; the
-        # two accountings must agree on what a worker's elapsed time is.
-        worker = Trace()
-        with worker.span("shard"):
-            pass
-        watch = Stopwatch()
-        watch.add(worker.bundle().elapsed)
-        assert watch.elapsed_seconds == pytest.approx(
-            worker.spans()[0].duration_s
-        )

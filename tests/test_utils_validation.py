@@ -1,4 +1,4 @@
-"""Tests for repro.utils.validation and the Stopwatch timing helpers."""
+"""Tests for repro.utils.validation and the timing helper."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.exceptions import InvalidParameterError, NonFiniteDataError
 from repro.metrics.cosine import CosineMetric
 from repro.metrics.euclidean import EuclideanMetric
-from repro.obs.trace import Stopwatch, timed
+from repro.obs.trace import timed
 from repro.utils.validation import (
     check_candidate_pool,
     check_cardinality,
@@ -226,23 +226,6 @@ class TestNonFiniteProperties:
 
 
 class TestTiming:
-    def test_stopwatch_accumulates(self):
-        watch = Stopwatch()
-        with watch.measure():
-            sum(range(100))
-        first = watch.elapsed_seconds
-        with watch.measure():
-            sum(range(100))
-        assert watch.elapsed_seconds >= first
-        assert watch.elapsed_ms == pytest.approx(watch.elapsed_seconds * 1000)
-
-    def test_stopwatch_reset(self):
-        watch = Stopwatch()
-        with watch.measure():
-            pass
-        watch.reset()
-        assert watch.elapsed_seconds == 0.0
-
     def test_timed_returns_value_and_duration(self):
         value, seconds = timed(lambda: 41 + 1)
         assert value == 42
