@@ -60,7 +60,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -170,12 +170,17 @@ def _materialize_objective(objective: Objective) -> Objective:
     return Objective(objective.quality, matrix, objective.tradeoff)
 
 
-class _ShardOutcome(NamedTuple):
+@dataclass(frozen=True)
+class _ShardOutcome:
     """What one shard solve ships back to the parent."""
 
     winners: List[Element]  # sorted shard-local indices
     interrupted: bool  # the deadline cut the shard's solve short
     bundle: SpanBundle
+
+
+#: Shard index → the zero-argument solve of that shard.
+_Tasks = Dict[int, Callable[[], _ShardOutcome]]
 
 
 def _solve_shard(
@@ -227,6 +232,19 @@ def _solve_shard(
     )
 
 
+def _emit_checkpoint(
+    on_checkpoint: Callable[[SolveCheckpoint], None],
+    started: float,
+    shard_winners: Dict[int, Tuple[Element, ...]],
+    **layout: Any,
+) -> None:
+    """Hand ``on_checkpoint`` a sharded snapshot of the solved shards' winners."""
+    elapsed = time.perf_counter() - started
+    on_checkpoint(
+        SolveCheckpoint(shard_winners=shard_winners, elapsed_seconds=elapsed, **layout)
+    )
+
+
 @dataclass
 class _ShardMap:
     """The shard map: runs shard solves and folds their outcomes into one state.
@@ -253,10 +271,8 @@ class _ShardMap:
     retry_backoff_s: float
     trace: Optional[Trace]
     root_id: Optional[int]
-    on_checkpoint: Optional[Callable[[SolveCheckpoint], None]]
-    checkpoint_every: Optional[int]
-    checkpoint: Callable[..., SolveCheckpoint]  # all but the progress fields bound
-    started: float
+    checkpoint: Optional[Callable[[Dict[int, Tuple[Element, ...]]], None]]
+    checkpoint_every: int
     failures: List[dict] = field(default_factory=list)
     shard_seconds: float = 0.0
     interrupted: bool = False
@@ -264,12 +280,9 @@ class _ShardMap:
     completions: int = 0
 
     def run(
-        self,
-        tasks: Dict[int, Callable[[], _ShardOutcome]],
-        executor: Optional[str],
-        max_workers: Optional[int],
+        self, tasks: _Tasks, executor: Optional[str], max_workers: Optional[int]
     ) -> None:
-        """Solve ``tasks`` (shard index → solve), on a pool when ``executor``."""
+        """Solve ``tasks``, on a pool when ``executor`` is given."""
         if self._expired():
             self.interrupted = True
             return
@@ -283,7 +296,7 @@ class _ShardMap:
     def _expired(self) -> bool:
         return self.deadline is not None and self.deadline.expired()
 
-    def _run_serial(self, tasks: Dict[int, Callable[[], _ShardOutcome]]) -> None:
+    def _run_serial(self, tasks: _Tasks) -> None:
         """In-process shard solves with bounded exponential-backoff retries.
 
         The deadline is checked before every attempt and caps every backoff
@@ -317,11 +330,8 @@ class _ShardMap:
                 return
 
     def _run_pool(
-        self,
-        tasks: Dict[int, Callable[[], _ShardOutcome]],
-        executor: str,
-        max_workers: Optional[int],
-    ) -> Dict[int, Callable[[], _ShardOutcome]]:
+        self, tasks: _Tasks, executor: str, max_workers: Optional[int]
+    ) -> _Tasks:
         """Pooled shard map; returns the shards that need the serial fallback.
 
         Futures are harvested in submission order with a per-shard timeout.
@@ -340,7 +350,7 @@ class _ShardMap:
         from concurrent.futures import TimeoutError as FutureTimeoutError
 
         pool_cls = ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
-        fallback: Dict[int, Callable[[], _ShardOutcome]] = {}
+        fallback: _Tasks = {}
         workers = pool_cls(max_workers=max_workers)
         abandoned = False
         try:
@@ -404,11 +414,9 @@ class _ShardMap:
         self.solved.add(index)
         self.completions += 1
         every = self.checkpoint_every
-        if self.on_checkpoint is not None and self.completions % every == 0:
-            solved = {i: tuple(self.winners[i].tolist()) for i in sorted(self.solved)}
-            elapsed = time.perf_counter() - self.started
-            self.on_checkpoint(
-                self.checkpoint(shard_winners=solved, elapsed_seconds=elapsed)
+        if self.checkpoint is not None and self.completions % every == 0:
+            self.checkpoint(
+                {i: tuple(self.winners[i].tolist()) for i in sorted(self.solved)}
             )
 
     def _record_failure(self, index: int, stage: str, error: BaseException) -> None:
@@ -564,8 +572,6 @@ def solve_sharded(
         raise InvalidParameterError("retry_backoff_s must be non-negative")
     if checkpoint_every is not None and checkpoint_every < 1:
         raise InvalidParameterError("checkpoint_every must be at least 1")
-    if on_checkpoint is not None and checkpoint_every is None:
-        checkpoint_every = 1
     deadline = Deadline.coerce(deadline)
 
     objective = Objective(quality, metric, tradeoff)
@@ -651,7 +657,7 @@ def solve_sharded(
     # slices), settling shards no bigger than their quota without solving at
     # all, and shards a resume checkpoint already covers.
     settled = dict(resumed)
-    tasks: Dict[int, Callable[[], _ShardOutcome]] = {}
+    tasks: _Tasks = {}
     with maybe_span(trace, "restrict", shards=len(parts)):
         for index, shard in enumerate(parts):
             if index in settled:
@@ -704,10 +710,12 @@ def solve_sharded(
         retry_backoff_s=retry_backoff_s,
         trace=trace,
         root_id=root.id,
-        on_checkpoint=on_checkpoint,
-        checkpoint_every=checkpoint_every,
-        checkpoint=partial(
-            SolveCheckpoint,
+        checkpoint=None
+        if on_checkpoint is None
+        else partial(
+            _emit_checkpoint,
+            on_checkpoint,
+            started,
             kind="sharded",
             n=objective.n,
             p=p,
@@ -715,7 +723,7 @@ def solve_sharded(
             metadata={"algorithm": algorithm, "shard_algorithm": shard_algorithm},
             fingerprint=fingerprint,
         ),
-        started=started,
+        checkpoint_every=checkpoint_every or 1,
     )
     shard_map.run(tasks, executor if use_pool else None, max_workers)
 

@@ -46,12 +46,29 @@ from repro.obs.trace import Trace
 from repro.testing.faults import (
     CrashingMetric,
     CrashingSetFunction,
+    FaultyMetric,
     NaNMetric,
     NaNSetFunction,
     SlowMetric,
     WorkerKillingMetric,
 )
 from repro.utils.deadline import Deadline
+
+
+class _SlowShardMetric(FaultyMetric):
+    """Sleep once, in the solve of the one shard that holds ``element``."""
+
+    def __init__(self, inner, delay_s, *, element):
+        super().__init__(inner)
+        self._delay_s, self._element, self._armed = delay_s, element, True
+
+    def restrict_lazy(self, elements):
+        elements = np.asarray(elements)
+        lazy = self._inner.restrict_lazy(elements)
+        if self._armed and lazy is not None and self._element in elements:
+            self._armed = False
+            return SlowMetric(lazy, self._delay_s, only_in_workers=False)
+        return lazy
 
 
 @pytest.fixture
@@ -246,11 +263,11 @@ class TestCheckpointResume:
         )
 
     def test_shard_cut_short_by_deadline_is_not_checkpointed(self):
-        # Shard 0's greedy sleeps on its first distance query and the deadline
-        # expires meanwhile, so it stops after one winner.  Those partial
-        # winners may join this run's core-set, but a checkpoint must not
-        # record the shard as solved: a resume would skip it and silently
-        # return a worse answer.
+        # Shards 0 and 1 finish and are checkpointed.  Shard 2's greedy sleeps
+        # on its first distance query and the deadline expires meanwhile, so
+        # it stops early.  Its partial winners may join this run's core-set,
+        # but a checkpoint must not record shard 2 as solved: a resume would
+        # skip it and silently return a worse answer.
         from repro.data.synthetic import make_feature_instance
 
         inst = make_feature_instance(2000, dimension=4, seed=3)
@@ -259,19 +276,19 @@ class TestCheckpointResume:
         checkpoints = []
         cut = solve_sharded(
             inst.quality,
-            SlowMetric(inst.metric, 0.3, only_in_workers=False),
-            deadline=0.1,
+            _SlowShardMetric(inst.metric, 0.5, element=1000),  # shard 2
+            deadline=0.3,
             on_checkpoint=checkpoints.append,
             **kwargs,
         )
         assert cut.metadata["interrupted"] is True
-        assert all(0 not in c.shard_winners for c in checkpoints)
+        assert cut.metadata["sharding"]["core_size"] > 2 * 5
+        assert checkpoints, "the shards before the cut one must checkpoint"
+        assert sorted(checkpoints[-1].shard_winners) == [0, 1]
         resumed = solve_sharded(
-            inst.quality,
-            inst.metric,
-            resume_from=checkpoints[-1] if checkpoints else None,
-            **kwargs,
+            inst.quality, inst.metric, resume_from=checkpoints[-1], **kwargs
         )
+        assert resumed.metadata["sharding"]["resumed_shards"] == [0, 1]
         assert resumed.selected == full.selected
         assert resumed.objective_value == full.objective_value
 

@@ -266,26 +266,6 @@ class TestInstrumentedSolve:
         ]
         assert nested, "expected spans nested under the shard spans"
 
-    def test_shard_seconds_sum_the_shard_spans(self, instance):
-        # shard_seconds is summed from the adopted bundles' elapsed times, so
-        # it agrees with the shard spans the trace holds.
-        from repro.core.sharding import solve_sharded
-
-        trace = Trace()
-        result = solve_sharded(
-            instance.quality,
-            instance.metric,
-            tradeoff=instance.tradeoff,
-            p=5,
-            shards=4,
-            trace=trace,
-        )
-        shards = [s for s in trace.spans() if s.name == "shard"]
-        assert len(shards) == 4
-        assert result.metadata["sharding"]["shard_seconds"] == pytest.approx(
-            sum(s.duration_s for s in shards)
-        )
-
     def test_dynamic_tick_export_nesting(self, tmp_path):
         rng = np.random.default_rng(5)
         points = rng.normal(size=(60, 3))
