@@ -2,23 +2,15 @@
 
 A production diversifier is query-scoped: many queries arrive against a single
 corpus, each carrying its own candidate pool, while the metric (and the
-quality weights) are shared.  :func:`solve_many` prepares the shared state
-exactly once —
-
-* the corpus distance matrix (materialized once for oracle metrics, reused as
-  a shared view for matrix-backed ones),
-* the modular weight vector (derived once even for view-less modular
-  families),
-
-— and then solves every query on an index-remapped sub-instance built by the
-restriction layer (:class:`~repro.core.restriction.Restriction`).  Per query
-the cost is the O(k²) candidate submatrix (a copy-free view for contiguous
-pools) plus the solve itself; no query ever pays an O(n²) copy.
-
-Because an oracle-free instance (matrix-backed metric + modular quality)
-touches only read-only shared state during a solve, the per-query map can
-optionally run on a thread pool (``max_workers``); NumPy releases the GIL in
-the submatrix reductions, so large pools see real parallelism.
+quality weights) are shared.  :func:`solve_many` prepares that shared state
+once on a throwaway :class:`~repro.serve.PreparedCorpus` (the matrix
+materialized for oracle metrics, the modular weights hoisted) and runs every
+pool through the corpus window executor, :func:`solve_window`.  Per query the
+cost is the O(k²) candidate submatrix (a copy-free view for contiguous pools)
+plus the solve itself; no query ever pays an O(n²) copy.  Oracle-free
+instances (matrix-backed metric + modular quality) touch only read-only
+shared state, so the per-query map can run on a thread pool
+(``max_workers``); NumPy releases the GIL in the submatrix reductions.
 """
 
 from __future__ import annotations
@@ -34,13 +26,12 @@ from repro.core.local_search import LocalSearchConfig
 from repro.core.objective import Objective
 from repro.core.restriction import Restriction
 from repro.core.result import SolverResult, build_result
-from repro.core.solver import ALGORITHMS, _dispatch
+from repro.core.solver import _check_request, _dispatch
 from repro.exceptions import InvalidParameterError
 from repro.functions.base import SetFunction
 from repro.functions.modular import ModularFunction
 from repro.matroids.base import Matroid
 from repro.metrics.base import Metric
-from repro.metrics.matrix import as_distance_matrix
 from repro.utils.deadline import Deadline, mark_interrupted
 
 __all__ = ["WindowQuery", "solve_many", "solve_window"]
@@ -87,8 +78,8 @@ def solve_many(
         shared :class:`~repro.metrics.matrix.DistanceMatrix` once (O(n²),
         amortized over all queries), so every query runs on the vectorized
         kernel path.  Set to ``False`` for ground sets too large to
-        materialize; queries then restrict the oracle pairwise (O(k²) oracle
-        calls each) and solve on the loop paths.
+        materialize; queries then restrict the metric lazily (O(k·d) for
+        feature metrics, O(k²) oracle calls otherwise).
     max_workers:
         Optional thread-pool size for the per-query map.  Only honored when
         the shared instance is oracle-free (matrix-backed metric + modular
@@ -119,67 +110,37 @@ def solve_many(
         One result per query, in query order, expressed in corpus indices;
         each records its pool under ``metadata["candidates"]``.
     """
-    if algorithm not in ALGORITHMS:
-        raise InvalidParameterError(
-            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
-        )
-    if (p is None) == (matroid is None):
-        raise InvalidParameterError("supply exactly one of p and matroid")
+    from repro.serve.corpus import PreparedCorpus  # it imports this module
+
+    _check_request(algorithm, p, matroid)
     if max_workers is not None and max_workers < 1:
         raise InvalidParameterError("max_workers must be at least 1")
-
-    deadline = Deadline.coerce(deadline_s)
     sharded = shards is not None or shard_size is not None
     if sharded and matroid is not None:
         raise InvalidParameterError(
             "sharded solving supports cardinality constraints only"
         )
+    shared = Deadline.coerce(deadline_s)
+    corpus = PreparedCorpus(
+        quality,
+        metric,
+        tradeoff=tradeoff,
+        materialize=materialize and not sharded,
+        cache_size=0,
+        warm=False,
+    )
 
-    # Shared corpus state, prepared once.
-    shared_metric = metric
-    if materialize and not sharded and metric.matrix_view() is None:
-        shared_metric = as_distance_matrix(metric)
-    shared_quality = quality
-    if quality.is_modular and kernels.weights_view_of(quality) is None:
-        # View-less modular families would pay one O(n) oracle sweep per
-        # query inside the kernels; hoist the sweep out of the loop.
-        weights = kernels.modular_weights(quality)
-        try:
-            shared_quality = ModularFunction(weights)
-        except InvalidParameterError:
-            shared_quality = quality
-    objective = Objective(shared_quality, shared_metric, tradeoff)
-    if matroid is not None and matroid.n != objective.n:
-        raise InvalidParameterError(
-            f"matroid covers {matroid.n} elements but the corpus covers "
-            f"{objective.n}"
-        )
-
-    def solve_one(pool: Iterable[Element]) -> SolverResult:
-        if deadline is not None and deadline.expired():
-            # The batch budget ran out before this query started: report an
-            # empty (trivially feasible) selection rather than blocking.
-            result = build_result(
-                objective,
-                set(),
-                [],
-                algorithm=algorithm,
-                iterations=0,
-                elapsed_seconds=0.0,
-                metadata=mark_interrupted(
-                    {"candidates": tuple(pool)}, deadline, "batch_queue"
-                ),
+    def solve_one(pool: Sequence[Element]) -> SolverResult:
+        if shared is not None and shared.expired():
+            return _expired_result(
+                corpus.objective, pool, algorithm, shared, "batch_queue"
             )
-            return result
         if sharded:
             from repro.core.sharding import solve_sharded
 
-            # The outer query map stays sequential for lazy metrics (no
-            # matrix fast path), so hand the worker budget to the per-query
-            # shard map instead of dropping it.
             return solve_sharded(
-                shared_quality,
-                shared_metric,
+                corpus.quality,
+                corpus.metric,
                 tradeoff=tradeoff,
                 p=p,
                 shards=shards,
@@ -188,24 +149,20 @@ def solve_many(
                 candidates=pool,
                 max_workers=max_workers,
                 local_search_config=local_search_config,
-                deadline=deadline,
+                deadline=shared,
             )
-        restriction = Restriction(objective, pool)
-        sub_matroid = (
-            matroid.restrict(restriction.candidates) if matroid is not None else None
-        )
-        result = _dispatch(
-            restriction.objective,
-            algorithm,
+        # One request through the corpus window, re-raising what it isolates.
+        return corpus.solve(
+            pool,
             p=p,
-            matroid=sub_matroid,
+            matroid=matroid,
+            algorithm=algorithm,
             local_search_config=local_search_config,
-            deadline=deadline,
+            deadline_s=shared,
         )
-        return restriction.lift(result)
 
     pools = [tuple(query) for query in queries]
-    oracle_free = kernels.matrix_fast_path(objective) is not None
+    oracle_free = kernels.matrix_fast_path(corpus.objective) is not None
     if max_workers is not None and max_workers > 1 and oracle_free and len(pools) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -218,12 +175,11 @@ def solve_many(
 class WindowQuery:
     """One pre-restricted query inside a serving batch window.
 
-    Where :func:`solve_many` takes raw candidate pools and builds a
-    :class:`~repro.core.restriction.Restriction` per query, a window query
-    carries the restriction *already built* — the serving tier's
-    :class:`~repro.serve.PreparedCorpus` keeps hot pools' restrictions in an
-    LRU cache, so a cached view is reused across windows instead of being
-    rebuilt per request.
+    A window query carries its :class:`~repro.core.restriction.Restriction`
+    *already built* — :class:`~repro.serve.PreparedCorpus` resolves each
+    request's raw pool to one, and keeps hot pools' restrictions in an LRU
+    cache so a cached view is reused across windows instead of being rebuilt
+    per request.
 
     Attributes
     ----------
@@ -291,6 +247,20 @@ def _solve_window_query(
     return restriction.lift(result)
 
 
+def _expired_result(
+    objective: Objective,
+    candidates: Sequence[Element],
+    algorithm: str,
+    deadline: Deadline,
+    phase: str,
+) -> SolverResult:
+    """The empty (trivially feasible) interrupted result of a query on the
+    pool ``candidates`` whose budget ran out while it was queued; ``phase``
+    names the queue."""
+    metadata = mark_interrupted({"candidates": tuple(candidates)}, deadline, phase)
+    return build_result(objective, set(), [], algorithm=algorithm, metadata=metadata)
+
+
 def solve_window(
     queries: Sequence[WindowQuery],
     *,
@@ -336,27 +306,17 @@ def solve_window(
     """
     invalid: dict = {}
     for index, query in enumerate(queries):
-        error: Optional[Exception] = None
-        if (query.p is None) == (query.matroid is None):
-            error = InvalidParameterError(
-                f"window query {index}: supply exactly one of p and matroid"
-            )
-        elif query.algorithm not in ALGORITHMS:
-            error = InvalidParameterError(
-                f"window query {index}: unknown algorithm {query.algorithm!r}; "
-                f"expected one of {ALGORITHMS}"
-            )
-        elif (
-            query.matroid is not None
-            and query.matroid.n != query.restriction.n
-        ):
-            error = InvalidParameterError(
-                f"window query {index}: matroid covers {query.matroid.n} "
-                f"elements but the pool has {query.restriction.n}"
-            )
-        if error is not None:
+        where = f"window query {index}: "
+        try:
+            _check_request(query.algorithm, query.p, query.matroid, where)
+            if query.matroid is not None and query.matroid.n != query.restriction.n:
+                raise InvalidParameterError(
+                    f"{where}matroid covers {query.matroid.n} elements but "
+                    f"the pool has {query.restriction.n}"
+                )
+        except InvalidParameterError as error:
             if not isolate:
-                raise error
+                raise
             invalid[index] = error
     shared = Deadline.coerce(deadline)
     results: List[Union[SolverResult, Exception, None]] = []
@@ -370,18 +330,16 @@ def solve_window(
             continue
         effective = Deadline.earliest(query.deadline, shared)
         if effective is not None and effective.expired():
-            # The budget ran out while the query sat in the window queue:
-            # report an empty (trivially feasible) selection immediately.
-            empty = build_result(
-                query.restriction.objective,
-                set(),
-                [],
-                algorithm=query.algorithm,
-                iterations=0,
-                elapsed_seconds=0.0,
-                metadata=mark_interrupted({}, effective, "window_queue"),
+            restriction = query.restriction
+            results.append(
+                _expired_result(
+                    restriction.base,
+                    restriction.candidates,
+                    query.algorithm,
+                    effective,
+                    "window_queue",
+                )
             )
-            results.append(query.restriction.lift(empty))
             continue
         try:
             results.append(_solve_window_query(query, effective))

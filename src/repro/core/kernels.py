@@ -12,9 +12,9 @@ metrics and as the test reference.
 
 Everything here operates on plain arrays (the weight vector ``w``, the
 distance matrix ``D``, the marginal vector ``margins``) so the same kernels
-serve Greedy B's pair seeding, the local-search best-swap scan, the streaming
-arrival rule and the dynamic-update engine.  The key identities (paper
-Sections 4–6):
+serve Greedy B's pair seeding, the local-search best-swap scan (which the
+dynamic update rule shares) and the dynamic-update engine.  The key
+identities (paper Sections 4–6):
 
 * pair score       ``w(x) + w(y) + λ·d(x, y)``
 * swap gain        ``φ(S − v + u) − φ(S)
@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -51,7 +51,6 @@ __all__ = [
     "weight_swap_gains",
     "swap_gain_matrix",
     "best_swap_scan",
-    "arrival_swap_gains",
     "removal_gain_state",
     "matroid_swap_vectorized",
 ]
@@ -288,26 +287,6 @@ def best_swap_scan(
     if not best > threshold:
         return None
     return int(incoming[i]), int(outgoing[j]), best
-
-
-def arrival_swap_gains(
-    weights: np.ndarray,
-    matrix: np.ndarray,
-    tradeoff: float,
-    element: Element,
-    members: Sequence[Element],
-) -> np.ndarray:
-    """Streaming arrival rule: gains of swapping ``element`` for each member.
-
-    Computes ``φ(S − out + element) − φ(S)`` for every ``out`` in ``members``
-    from the O(p²) submatrix alone (no O(n) state), preserving the streaming
-    algorithm's O(p) memory footprint.
-    """
-    sel = np.asarray(members, dtype=int)
-    row = matrix[element, sel]
-    internal = matrix[np.ix_(sel, sel)].sum(axis=1)
-    d_new = row.sum()
-    return (weights[element] - weights[sel]) + tradeoff * ((d_new - row) - internal)
 
 
 def removal_gain_state(

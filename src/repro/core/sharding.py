@@ -774,6 +774,15 @@ def solve_sharded(
                     trace=trace,
                 )
             result = final_restriction.lift(final)
+        if deadline is not None and deadline.expired():
+            # A final stage cut short by the deadline can fall below a single
+            # shard's winners (down to ∅); answer the better of the two.
+            fits = [w.tolist() for w in shard_map.winners.values() if w.size <= p]
+            best = max(fits, key=objective.value, default=[])
+            if objective.value(best) > result.objective_value:
+                result = build_result(
+                    objective, best, best, algorithm=algorithm, metadata=result.metadata
+                )
     else:
         # Every shard was lost (or the deadline expired before any winners
         # existed): the only feasible answer left is the empty selection.

@@ -49,6 +49,19 @@ ALGORITHMS = (
 )
 
 
+def _check_request(
+    algorithm: str, p: Optional[int], matroid: Optional[Matroid], where: str = ""
+) -> None:
+    """Check a known algorithm and exactly one of ``p`` and ``matroid`` (for
+    ``solve``, ``solve_many`` and ``solve_window``); ``where`` prefixes errors."""
+    if algorithm not in ALGORITHMS:
+        raise InvalidParameterError(
+            f"{where}unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
+        )
+    if (p is None) == (matroid is None):
+        raise InvalidParameterError(f"{where}supply exactly one of p and matroid")
+
+
 def solve(
     quality: SetFunction,
     metric: Metric,
@@ -133,12 +146,7 @@ def solve(
     -------
     SolverResult
     """
-    if algorithm not in ALGORITHMS:
-        raise InvalidParameterError(
-            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
-        )
-    if (p is None) == (matroid is None):
-        raise InvalidParameterError("supply exactly one of p and matroid")
+    _check_request(algorithm, p, matroid)
 
     if shards is not None or shard_size is not None:
         if matroid is not None:
@@ -239,9 +247,10 @@ def _dispatch(
 ) -> SolverResult:
     """Run ``algorithm`` on an (already restricted) objective.
 
-    This is the single dispatch point shared by :func:`solve` and the batched
-    :func:`repro.core.batch.solve_many` front end; candidate pools never reach
-    it — they are re-indexed away by the restriction layer in the callers.
+    This is the single dispatch point shared by :func:`solve` and the batch
+    window executor :func:`repro.core.batch.solve_window`; candidate pools
+    never reach it — they are re-indexed away by the restriction layer in the
+    callers.
     """
     checkpointing = (
         checkpoint_every is not None

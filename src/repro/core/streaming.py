@@ -18,17 +18,15 @@ Only the current solution and the arriving element are ever inspected, so the
 memory footprint is O(p) plus the distance/quality oracles, and each arrival
 costs O(p) marginal evaluations.
 
-Two fast paths serve the arrival rule.  With a matrix-backed metric and
-modular quality, all ``p`` candidate swaps are one O(p²) submatrix kernel
-(:func:`repro.core.kernels.arrival_swap_gains`).  Otherwise the quality side
-runs on the stateful batched marginal-gain protocol: one removal state per
-solution member (``f(S − v + e) − f(S) = f_e(S − v) − f_v(S − v)``), built
-lazily and reused across arrivals until the solution changes, plus a
-maintained vector of internal distance marginals — so an arrival costs O(p)
-single-candidate gains calls instead of 2·p value-oracle evaluations with
-their O(p²) dispersion recomputations.  (The removal states add O(state)
-memory per member — e.g. O(n) for facility location — traded for the
-per-arrival oracle work.)
+One arrival rule serves every instance.  The distance side of
+``φ(S − v + e) − φ(S)`` comes from the arriving element's row to the solution
+and maintained internal marginals ``d_v(S)``; the quality side is
+``w(e) − w(v)`` for modular quality, and otherwise comes from one removal state
+per member (``f(S − v + e) − f(S) = f_e(S − v) − f_v(S − v)``), built lazily
+and reused across arrivals until the solution changes.  An arrival thus costs
+O(p) single-candidate gains calls instead of 2·p value-oracle evaluations
+with their O(p²) dispersion recomputations; the removal states add O(state)
+memory per member (e.g. O(n) for facility location).
 """
 
 from __future__ import annotations
@@ -73,9 +71,9 @@ class StreamingDiversifier:
     _value: float = field(default=0.0, init=False, repr=False)
     _arrivals: int = field(default=0, init=False, repr=False)
     _swaps: int = field(default=0, init=False, repr=False)
-    _fast: Optional[tuple] = field(default=None, init=False, repr=False)
-    # Protocol-path state (non-kernel instances), all maintained lazily and
-    # invalidated when the solution changes:
+    _weights: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    # Arrival-rule state, maintained lazily and invalidated when the solution
+    # changes (the gain and removal states serve non-modular quality only):
     _qstate: Optional[GainState] = field(default=None, init=False, repr=False)
     _removal: Dict[Element, Tuple[GainState, float]] = field(
         default_factory=dict, init=False, repr=False
@@ -90,11 +88,9 @@ class StreamingDiversifier:
             raise InvalidParameterError("p must be at least 1")
         if self.improvement_margin < 0:
             raise InvalidParameterError("improvement_margin must be non-negative")
-        # Resolve the kernel fast path once, not per arrival: the weight and
-        # matrix views are live under in-place mutation, and re-deriving the
-        # weight vector of view-less modular families would cost O(n) oracle
-        # calls per arrival.
-        self._fast = kernels.matrix_fast_path(self.objective)
+        # Resolve the modular weights once: re-deriving those of view-less
+        # modular families would cost O(n) oracle calls per arrival.
+        self._weights = kernels.modular_weights(self.objective.quality)
 
     # ------------------------------------------------------------------
     # State
@@ -120,7 +116,7 @@ class StreamingDiversifier:
         return self._swaps
 
     # ------------------------------------------------------------------
-    # Protocol-path helpers (lazy, invalidated on solution changes)
+    # Arrival-rule helpers (lazy, invalidated on solution changes)
     # ------------------------------------------------------------------
     def _distance_row(self, element: Element) -> np.ndarray:
         """Distances from ``element`` to the current solution, in list order."""
@@ -130,11 +126,6 @@ class StreamingDiversifier:
                 matrix[element, np.asarray(self._selected, dtype=int)], dtype=float
             )
         return self.objective.metric.distances_from(element, self._selected)
-
-    def _ensure_qstate(self) -> GainState:
-        if self._qstate is None:
-            self._qstate = self.objective.make_quality_state(self._selected)
-        return self._qstate
 
     def _ensure_margins(self) -> Dict[Element, float]:
         if self._margins is None:
@@ -152,20 +143,15 @@ class StreamingDiversifier:
                 )
         return self._removal
 
-    def _append(self, element: Element, row: Optional[np.ndarray]) -> None:
+    def _append(self, element: Element, row: np.ndarray) -> None:
         """Grow the solution, updating the maintained state incrementally."""
         if self._qstate is not None:
             self.objective.quality.push(self._qstate, element)
-        if self._margins is not None and row is not None:
+        if self._margins is not None:
             for i, member in enumerate(self._selected):
                 self._margins[member] += float(row[i])
             self._margins[element] = float(row.sum())
         self._selected.append(element)
-        self._removal.clear()
-
-    def _invalidate(self) -> None:
-        self._qstate = None
-        self._margins = None
         self._removal.clear()
 
     # ------------------------------------------------------------------
@@ -180,55 +166,43 @@ class StreamingDiversifier:
         self._arrivals += 1
         if element in self._selected:
             return False
+        weights = self._weights
+        quality = self.objective.quality
+        tradeoff = self.objective.tradeoff
+        row = self._distance_row(element)
         if len(self._selected) < self.p:
-            if self._fast is None:
-                row = self._distance_row(element)
-                gain = float(
-                    self.objective.quality.gains((element,), self._ensure_qstate())[0]
-                ) + self.objective.tradeoff * float(row.sum())
+            if weights is not None:
+                quality_gain = float(weights[element])
             else:
-                row = None
-                gain = self.objective.marginal(element, frozenset(self._selected))
+                if self._qstate is None:
+                    self._qstate = self.objective.make_quality_state(self._selected)
+                quality_gain = float(quality.gains((element,), self._qstate)[0])
             self._append(element, row)
-            self._value += gain
+            self._value += quality_gain + tradeoff * float(row.sum())
             return True
         # Full: find the best single replacement for the arriving element.
         best_gain = self.improvement_margin * abs(self._value)
         best_outgoing: Optional[Element] = None
-        if self._fast is not None:
-            # All p candidate swaps in one O(p²) submatrix computation.
-            weights, matrix = self._fast
-            gains = kernels.arrival_swap_gains(
-                weights, matrix, self.objective.tradeoff, element, self._selected
-            )
-            best_idx = int(np.argmax(gains))
-            if gains[best_idx] > best_gain:
-                best_gain = float(gains[best_idx])
-                best_outgoing = self._selected[best_idx]
-        else:
-            # Protocol path: quality side from the cached removal states
-            # (f_e(S − v) − f_v(S − v)), distance side from the arriving
-            # row and the maintained internal marginals — O(p) gains calls
-            # per arrival, no value-oracle or O(p²) dispersion recompute.
-            quality = self.objective.quality
-            tradeoff = self.objective.tradeoff
-            row = self._distance_row(element)
-            arriving_total = float(row.sum())
-            margins = self._ensure_margins()
-            removal = self._ensure_removal_states()
-            for i, outgoing in enumerate(self._selected):
+        arriving_total = float(row.sum())
+        margins = self._ensure_margins()
+        removal = self._ensure_removal_states() if weights is None else None
+        for i, outgoing in enumerate(self._selected):
+            if weights is not None:
+                quality_gain = float(weights[element] - weights[outgoing])
+            else:
                 state, base = removal[outgoing]
                 quality_gain = float(quality.gains((element,), state)[0]) - base
-                distance_gain = (arriving_total - float(row[i])) - margins[outgoing]
-                gain = quality_gain + tradeoff * distance_gain
-                if gain > best_gain:
-                    best_gain = gain
-                    best_outgoing = outgoing
+            distance_gain = (arriving_total - float(row[i])) - margins[outgoing]
+            gain = quality_gain + tradeoff * distance_gain
+            if gain > best_gain:
+                best_gain = gain
+                best_outgoing = outgoing
         if best_outgoing is None:
             return False
         self._selected.remove(best_outgoing)
         self._selected.append(element)
-        self._invalidate()
+        self._qstate = self._margins = None
+        self._removal.clear()
         self._value += best_gain
         self._swaps += 1
         return True

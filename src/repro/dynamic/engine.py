@@ -58,7 +58,7 @@ from repro.core.checkpoint import (
 from repro.core.exact import exact_diversify
 from repro.core.greedy import greedy_diversify
 from repro.core.objective import Objective
-from repro.dynamic.events import EventBatch
+from repro.dynamic.events import NEGATIVITY_TOLERANCE, EventBatch
 from repro.dynamic.perturbation import Perturbation
 from repro.dynamic.update_rules import (
     UpdateOutcome,
@@ -79,10 +79,6 @@ DEFAULT_HISTORY_LIMIT = 1024
 #: no-swap certificate to fire; anything closer falls back to the exact
 #: full scan, so certificate floating-point noise can never change a result.
 _CERTIFICATE_TOLERANCE = 1e-9
-
-#: Negative weights/distances within this tolerance are treated as rounding
-#: noise and clamped to zero (matching the sequential engine).
-_NEGATIVITY_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -320,16 +316,6 @@ class DynamicDiversifier:
             mask[np.fromiter(self._solution, dtype=int)] = True
         return mask
 
-    def _check_live(self, elements: np.ndarray, what: str) -> None:
-        idx = np.asarray(elements, dtype=int)
-        if idx.size == 0:
-            return
-        slots = self._distances.n
-        if np.any((idx < 0) | (idx >= slots)) or not np.all(
-            self._distances.active_mask[idx]
-        ):
-            raise PerturbationError(f"{what} refers to an unknown or retired element")
-
     @staticmethod
     def _run_undo(undo: List[Callable[[], None]]) -> None:
         for op in reversed(undo):
@@ -345,71 +331,30 @@ class DynamicDiversifier:
     # ------------------------------------------------------------------
     # The batched tick
     # ------------------------------------------------------------------
-    def _validate_batch(self, batch: EventBatch) -> None:
-        """All statically checkable rejections, before any mutation."""
-        slots = self._distances.n
-        self._check_live(batch.weight_set_elements, "weight event")
-        self._check_live(batch.weight_delta_elements, "weight event")
-        self._check_live(batch.distance_set_pairs.ravel(), "distance event")
-        self._check_live(batch.distance_delta_pairs.ravel(), "distance event")
-        if batch.num_inserts:
-            if batch.insert_points is not None:
-                raise PerturbationError(
-                    "this engine hosts explicit distance rows; point inserts "
-                    "belong to the sharded dynamic session"
-                )
-            if len(batch.insert_distances) != batch.num_inserts:
-                raise PerturbationError(
-                    "every insert into the dense engine needs a distance row"
-                )
-            for i, row in enumerate(batch.insert_distances):
-                if row.shape[0] != slots + i:
-                    raise PerturbationError(
-                        f"insert {i} needs a distance row of length {slots + i} "
-                        f"(tick-start slots plus earlier inserts), got {row.shape[0]}"
-                    )
-                if not np.all(np.isfinite(row)):
-                    raise PerturbationError("insert distances must be finite")
-                if np.any(row < 0):
-                    raise PerturbationError("insert distances must be non-negative")
-        deletes = batch.delete_elements
-        if deletes.size:
-            if np.unique(deletes).size != deletes.size:
-                raise PerturbationError("duplicate delete of the same element")
-            self._check_live(deletes, "delete event")
-            remaining = self.active_count + batch.num_inserts - deletes.size
-            if remaining < self._p:
-                raise PerturbationError(
-                    f"deletions would leave {remaining} live elements, "
-                    f"fewer than p={self._p}"
-                )
-
-    def _apply_weight_events(
-        self, batch: EventBatch, undo: List[Callable[[], None]]
-    ) -> None:
-        idx_all = np.concatenate(
-            [batch.weight_set_elements, batch.weight_delta_elements]
-        )
-        if idx_all.size == 0:
+    def _check_insert_rows(self, batch: EventBatch) -> None:
+        """The dense engine's insert payload: one distance row per insert."""
+        if not batch.num_inserts:
             return
-        store = self._weight_store
-        before = store[idx_all].copy()
-
-        def rollback() -> None:
-            store[idx_all] = before
-
-        store[batch.weight_set_elements] = batch.weight_set_values
-        np.add.at(store, batch.weight_delta_elements, batch.weight_deltas)
-        touched = np.unique(idx_all)
-        finals = store[touched]
-        if np.any(finals < -_NEGATIVITY_TOLERANCE) or not np.all(np.isfinite(finals)):
-            rollback()
-            self._run_undo(undo)
+        if batch.insert_points is not None:
             raise PerturbationError(
-                "a weight decrease exceeds the current weight of its element"
+                "this engine hosts explicit distance rows; point inserts "
+                "belong to the sharded dynamic session"
             )
-        store[touched] = np.maximum(finals, 0.0)
-        undo.append(rollback)
+        if len(batch.insert_distances) != batch.num_inserts:
+            raise PerturbationError(
+                "every insert into the dense engine needs a distance row"
+            )
+        slots = self._distances.n
+        for i, row in enumerate(batch.insert_distances):
+            if row.shape[0] != slots + i:
+                raise PerturbationError(
+                    f"insert {i} needs a distance row of length {slots + i} "
+                    f"(tick-start slots plus earlier inserts), got {row.shape[0]}"
+                )
+            if not np.all(np.isfinite(row)):
+                raise PerturbationError("insert distances must be finite")
+            if np.any(row < 0):
+                raise PerturbationError("insert distances must be non-negative")
 
     def _apply_distance_events(
         self, batch: EventBatch, undo: List[Callable[[], None]]
@@ -429,7 +374,7 @@ class DynamicDiversifier:
         num_sets = batch.distance_set_pairs.shape[0]
         finals[inverse[:num_sets]] = batch.distance_set_values
         np.add.at(finals, inverse[num_sets:], batch.distance_deltas)
-        if np.any(finals < -_NEGATIVITY_TOLERANCE) or not np.all(np.isfinite(finals)):
+        if np.any(finals < -NEGATIVITY_TOLERANCE) or not np.all(np.isfinite(finals)):
             self._run_undo(undo)
             raise PerturbationError(
                 "a distance decrease would make the distance negative"
@@ -514,7 +459,7 @@ class DynamicDiversifier:
                 self._margins,
                 candidates,
             )
-            if pick is None:  # pragma: no cover - excluded by _validate_batch
+            if pick is None:  # pragma: no cover - excluded by EventBatch.validate
                 raise PerturbationError("no live element left to refill the solution")
             element, marginal = pick
             self._solution.add(element)
@@ -651,14 +596,16 @@ class DynamicDiversifier:
     ) -> UpdateOutcome:
         if updates is not None and updates < 0:
             raise InvalidParameterError("updates must be non-negative")
-        self._validate_batch(batch)
+        batch.validate(self._distances.active_mask, self._p)
+        self._check_insert_rows(batch)
         value_before = self.objective.value(self._solution)
         members0 = np.fromiter(sorted(self._solution), dtype=int)
         w_members0 = self._weight_store[members0].copy()
         cert_margins0 = self._margins[members0].copy() if self._cache_valid else None
 
-        undo: List[Callable[[], None]] = []
-        self._apply_weight_events(batch, undo)
+        # Weights apply first: a rejected weight event has nothing else to
+        # undo, and apply_weights restores the store before raising.
+        undo: List[Callable[[], None]] = [batch.apply_weights(self._weight_store)[1]]
         self._apply_distance_events(batch, undo)
         inserted = self._apply_inserts(batch, members0)
         deleted_members = self._apply_deletes(batch)

@@ -24,16 +24,17 @@ only deltas, so replaying a perturbation stream one event per tick through
 the batched path reproduces the sequential engine exactly.
 
 Builders validate what they can locally (finiteness, non-negative absolute
-values, ``u ≠ v``); state-dependent checks — a delta driving a weight or
-distance negative, unknown element ids — belong to the engine, which sees
-the current instance.
+values, ``u ≠ v``).  :meth:`EventBatch.validate` checks a batch against an
+engine's live mask (unknown or retired ids, duplicate deletes, too few live
+elements left); a delta driving a weight or distance negative is caught by
+the engine as it applies the tick.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,6 +54,11 @@ __all__ = [
     "decode_event_batch",
     "encode_event_batch",
 ]
+
+
+#: Negative weights/distances within this tolerance are treated as rounding
+#: noise and clamped to zero.
+NEGATIVITY_TOLERANCE = 1e-12
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
@@ -125,6 +131,69 @@ class EventBatch:
             self.delete_elements,
         ]
         return np.unique(np.concatenate([np.asarray(p, dtype=int) for p in parts]))
+
+    def validate(self, live: np.ndarray, p: int) -> None:
+        """The engine-independent rejections, checked before any mutation.
+
+        ``live`` is the engine's boolean live mask over its slot ids at tick
+        start and ``p`` its solution size.  Every weight, distance and delete
+        event must name a live element, no element may be deleted twice, and
+        the deletions must leave at least ``p`` live elements.  The insert
+        payload (distance rows or points) is the engine's own check.
+        """
+        events = (
+            ("weight event", self.weight_set_elements, self.weight_delta_elements),
+            (
+                "distance event",
+                self.distance_set_pairs.ravel(),
+                self.distance_delta_pairs.ravel(),
+            ),
+            ("delete event", self.delete_elements),
+        )
+        for what, *arrays in events:
+            idx = np.concatenate(arrays).astype(int)
+            if idx.size and (
+                np.any((idx < 0) | (idx >= live.size)) or not np.all(live[idx])
+            ):
+                raise PerturbationError(
+                    f"{what} refers to an unknown or retired element"
+                )
+        deletes = self.delete_elements
+        if np.unique(deletes).size != deletes.size:
+            raise PerturbationError("duplicate delete of the same element")
+        if deletes.size:
+            remaining = int(live.sum()) + self.num_inserts - deletes.size
+            if remaining < p:
+                raise PerturbationError(
+                    f"deletions would leave {remaining} live elements, "
+                    f"fewer than p={p}"
+                )
+
+    def apply_weights(self, store: np.ndarray) -> Tuple[np.ndarray, Callable[[], None]]:
+        """Apply the weight sets, then the accumulated deltas, to ``store``.
+
+        Returns the sorted touched ids and the rollback of the change.  A
+        final weight that is not finite, or negative beyond rounding noise,
+        restores ``store`` and raises :class:`PerturbationError`; rounding
+        noise is clamped to zero.
+        """
+        idx = np.concatenate([self.weight_set_elements, self.weight_delta_elements])
+        before = store[idx].copy()
+
+        def rollback() -> None:
+            store[idx] = before
+
+        store[self.weight_set_elements] = self.weight_set_values
+        np.add.at(store, self.weight_delta_elements, self.weight_deltas)
+        touched = np.unique(idx)
+        finals = store[touched]
+        if np.any(finals < -NEGATIVITY_TOLERANCE) or not np.all(np.isfinite(finals)):
+            rollback()
+            raise PerturbationError(
+                "a weight decrease exceeds the current weight of its element"
+            )
+        store[touched] = np.maximum(finals, 0.0)
+        return touched, rollback
 
     @classmethod
     def from_perturbations(cls, perturbations: Iterable[Perturbation]) -> "EventBatch":

@@ -66,7 +66,7 @@ from repro.dynamic.engine import (
     DynamicDiversifier,
     EngineSnapshot,
 )
-from repro.dynamic.events import EventBatch
+from repro.dynamic.events import NEGATIVITY_TOLERANCE, EventBatch
 from repro.dynamic.perturbation import Perturbation
 from repro.dynamic.update_rules import UpdateOutcome
 from repro.exceptions import InvalidParameterError, PerturbationError
@@ -327,46 +327,15 @@ class ShardedDynamicEngine:
         active[:capacity] = self._active
         self._active = active
 
-    def _check_live(self, elements: np.ndarray, what: str) -> None:
-        idx = np.asarray(elements, dtype=int)
-        if idx.size == 0:
-            return
-        if np.any((idx < 0) | (idx >= self._slots)) or not np.all(
-            self._active[: self._slots][idx]
-        ):
-            raise PerturbationError(f"{what} refers to an unknown or retired element")
-
     # ------------------------------------------------------------------
     # Event application
     # ------------------------------------------------------------------
     def apply_events(self, batch: EventBatch) -> UpdateOutcome:
         """Apply one tick of events, repair dirty shards, return the outcome."""
-        self._validate_batch(batch)
-        dirty: Set[int] = set()
-        touched_members = False
-
-        # Weights (sets, then accumulated deltas; validated, then clamped).
-        w_idx = np.concatenate(
-            [batch.weight_set_elements, batch.weight_delta_elements]
-        )
-        if w_idx.size:
-            before = self._weights[w_idx].copy()
-            self._weights[batch.weight_set_elements] = batch.weight_set_values
-            np.add.at(self._weights, batch.weight_delta_elements, batch.weight_deltas)
-            touched = np.unique(w_idx)
-            finals = self._weights[touched]
-            if np.any(finals < -1e-12) or not np.all(np.isfinite(finals)):
-                self._weights[w_idx] = before
-                raise PerturbationError(
-                    "a weight decrease exceeds the current weight of its element"
-                )
-            self._weights[touched] = np.maximum(finals, 0.0)
-            for element in touched.tolist():
-                dirty.add(self._shard_of(element))
-                if element in self._solution:
-                    touched_members = True
-
-        # Distances become sparse overrides on top of the point metric.
+        batch.validate(self._active[: self._slots], self._p)
+        self._check_insert_points(batch)
+        # Distances become sparse overrides on top of the point metric; they
+        # are resolved and checked before anything mutates.
         pair_events: Dict[Tuple[int, int], float] = {}
         for (u, v), value in zip(
             batch.distance_set_pairs.tolist(), batch.distance_set_values.tolist()
@@ -384,18 +353,27 @@ class ShardedDynamicEngine:
             if current is None:
                 current = self.metric().distance(*key)
             pair_events[key] = current + float(delta)
-        if pair_events:
-            for key, value in pair_events.items():
-                if value < -1e-12:
-                    raise PerturbationError(
-                        "a distance decrease would make the distance negative"
-                    )
-            for (u, v), value in pair_events.items():
-                self._overrides[(u, v)] = max(float(value), 0.0)
-                dirty.add(self._shard_of(u))
-                dirty.add(self._shard_of(v))
-                if u in self._solution or v in self._solution:
-                    touched_members = True
+        if any(value < -NEGATIVITY_TOLERANCE for value in pair_events.values()):
+            raise PerturbationError(
+                "a distance decrease would make the distance negative"
+            )
+
+        dirty: Set[int] = set()
+        touched_members = False
+
+        # Weights (sets, then accumulated deltas; validated, then clamped).
+        touched, _ = batch.apply_weights(self._weights)
+        for element in touched.tolist():
+            dirty.add(self._shard_of(element))
+            if element in self._solution:
+                touched_members = True
+
+        for (u, v), value in pair_events.items():
+            self._overrides[(u, v)] = max(float(value), 0.0)
+            dirty.add(self._shard_of(u))
+            dirty.add(self._shard_of(v))
+            if u in self._solution or v in self._solution:
+                touched_members = True
 
         # Inserts: new rows in point space, reviving retired slots first.
         inserted: List[int] = []
@@ -458,35 +436,22 @@ class ShardedDynamicEngine:
             metadata=metadata,
         )
 
-    def _validate_batch(self, batch: EventBatch) -> None:
-        self._check_live(batch.weight_set_elements, "weight event")
-        self._check_live(batch.weight_delta_elements, "weight event")
-        self._check_live(batch.distance_set_pairs.ravel(), "distance event")
-        self._check_live(batch.distance_delta_pairs.ravel(), "distance event")
-        if batch.num_inserts:
-            if batch.insert_points is None:
-                raise PerturbationError(
-                    "the sharded engine hosts point inserts; explicit distance "
-                    "rows belong to the dense engine"
-                )
-            if batch.insert_points.shape[1] != self._points.shape[1]:
-                raise PerturbationError(
-                    f"insert points must have dimension {self._points.shape[1]}, "
-                    f"got {batch.insert_points.shape[1]}"
-                )
-            if not np.all(np.isfinite(batch.insert_points)):
-                raise PerturbationError("insert points must be finite")
-        deletes = batch.delete_elements
-        if deletes.size:
-            if np.unique(deletes).size != deletes.size:
-                raise PerturbationError("duplicate delete of the same element")
-            self._check_live(deletes, "delete event")
-            remaining = self.active_count + batch.num_inserts - deletes.size
-            if remaining < self._p:
-                raise PerturbationError(
-                    f"deletions would leave {remaining} live elements, "
-                    f"fewer than p={self._p}"
-                )
+    def _check_insert_points(self, batch: EventBatch) -> None:
+        """The sharded engine's insert payload: one finite point per insert."""
+        if not batch.num_inserts:
+            return
+        if batch.insert_points is None:
+            raise PerturbationError(
+                "the sharded engine hosts point inserts; explicit distance "
+                "rows belong to the dense engine"
+            )
+        if batch.insert_points.shape[1] != self._points.shape[1]:
+            raise PerturbationError(
+                f"insert points must have dimension {self._points.shape[1]}, "
+                f"got {batch.insert_points.shape[1]}"
+            )
+        if not np.all(np.isfinite(batch.insert_points)):
+            raise PerturbationError("insert points must be finite")
 
     # ------------------------------------------------------------------
     # Repair

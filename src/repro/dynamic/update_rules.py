@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro._types import Element
-from repro.core import kernels
+from repro.core import kernels, local_search
 from repro.core.objective import Objective
 from repro.exceptions import InvalidParameterError
+from repro.matroids.uniform import UniformMatroid
 
 
 @dataclass(frozen=True)
@@ -74,9 +75,11 @@ def best_swap(
     ``None`` is returned when no swap has a strictly positive gain, i.e. the
     solution is locally optimal for the single-swap neighbourhood.
 
-    When the instance is matrix-backed with modular quality (the dynamic
-    engine's representation), the scan is one vectorized gain-matrix argmax;
-    otherwise it falls back to O(n·p) ``swap_gain`` oracle calls.
+    The scan is local search's own swap scan under the uniform matroid of
+    rank ``|S|`` with threshold 0: on a matrix-backed metric one masked
+    argmax over the gain matrix, whose quality part is the weight vector for
+    modular quality and O(p) batched-gains calls otherwise; on a lazy metric
+    the loop-based reference scan over the same identity.
 
     ``candidates`` restricts the incoming elements to a query-scoped pool
     (through the restriction layer, so the vectorized scan runs on the
@@ -84,33 +87,26 @@ def best_swap(
     pool.
     """
     if candidates is not None:
-        restriction = objective.restrict(candidates)
-        local_solution = set(restriction.to_local(solution))
-        move = best_swap(restriction.objective, local_solution)
-        if move is None:
-            return None
-        incoming, outgoing, gain = move
-        pool = restriction.candidates
-        return pool[incoming], pool[outgoing], gain
-    fast = kernels.matrix_fast_path(objective)
-    if fast is not None and solution:
-        weights, matrix = fast
-        inside, outside = kernels.solution_split(objective.n, solution)
-        margins = kernels.set_margins(matrix, inside)
-        quality_gain = kernels.weight_swap_gains(weights, outside, inside)
-        gains = kernels.swap_gain_matrix(
-            quality_gain, matrix, objective.tradeoff, margins, outside, inside
+        # update_until_stable owns the pool restriction; one capped update
+        # performs exactly the best move.
+        outcome = update_until_stable(
+            objective, solution, max_updates=1, candidates=candidates
         )
-        return kernels.best_swap_scan(gains, outside, inside)
-    best: Optional[Tuple[Element, Element, float]] = None
-    for incoming in range(objective.n):
-        if incoming in solution:
-            continue
-        for outgoing in solution:
-            gain = objective.swap_gain(solution, incoming, outgoing)
-            if gain > 0 and (best is None or gain > best[2]):
-                best = (incoming, outgoing, gain)
-    return best
+        return outcome.swaps[0] if outcome.swaps else None
+    if not solution:
+        return None
+    selected = set(solution)
+    matroid = UniformMatroid(objective.n, len(selected))
+    tracker = objective.make_tracker(selected)
+    weights = kernels.modular_weights(objective.quality)
+    matrix = objective.metric.matrix_view()
+    if matrix is not None:
+        return local_search._scan_swaps_kernel(
+            objective, matroid, selected, tracker, 0.0, matrix, weights
+        )
+    return local_search._scan_swaps_reference(
+        objective, matroid, selected, tracker, 0.0, weights=weights
+    )
 
 
 def oblivious_update(
@@ -119,23 +115,14 @@ def oblivious_update(
     *,
     candidates: Optional[Iterable[Element]] = None,
 ) -> UpdateOutcome:
-    """Apply the oblivious single-swap update rule exactly once.
+    """Apply the oblivious single-swap update rule exactly once
+    (:func:`update_until_stable` capped at one update).
 
     ``candidates`` restricts the incoming elements to a pool (see
     :func:`best_swap`).
     """
-    current = set(solution)
-    move = best_swap(objective, current, candidates=candidates)
-    swaps: List[Tuple[Element, Element, float]] = []
-    if move is not None:
-        incoming, outgoing, gain = move
-        current.remove(outgoing)
-        current.add(incoming)
-        swaps.append((incoming, outgoing, gain))
-    return UpdateOutcome(
-        solution=frozenset(current),
-        swaps=tuple(swaps),
-        objective_value=objective.value(current),
+    return update_until_stable(
+        objective, solution, max_updates=1, candidates=candidates
     )
 
 

@@ -13,7 +13,7 @@ that state:
   (:meth:`~repro.metrics.base.Metric.restrict_lazy`), so a pool of ``k``
   candidates costs O(k·d) — never O(n²);
 * the **modular weight vector**, derived once even for view-less modular
-  families (the same hoist :func:`~repro.core.batch.solve_many` does);
+  families;
 * the **warm gain state** for non-modular quality: building one empty
   :meth:`~repro.functions.base.SetFunction.gain_state` at prepare time runs
   the construction-time work the batched-gains protocol caches (coverage
@@ -26,7 +26,9 @@ that state:
 async :class:`~repro.serve.server.Server` drives off-loop; it delegates
 pool-scoped queries to :func:`~repro.core.batch.solve_window` and
 full-universe queries on sharded corpora to
-:func:`~repro.core.sharding.solve_sharded`.
+:func:`~repro.core.sharding.solve_sharded`.  The offline batch front end
+:func:`~repro.core.batch.solve_many` runs on a throwaway corpus (no
+restriction cache, no warm-up), so both tiers share this one preparation.
 """
 
 from __future__ import annotations
@@ -172,10 +174,7 @@ class PreparedCorpus:
             raise InvalidParameterError("cache_size must be non-negative")
         self._sharded = shards is not None or shard_size is not None
         if materialize is None:
-            if metric.matrix_view() is not None:
-                materialize = True
-            else:
-                materialize = not self._sharded and metric.n <= AUTO_MATERIALIZE_CAP
+            materialize = not self._sharded and metric.n <= AUTO_MATERIALIZE_CAP
         if materialize and metric.matrix_view() is None:
             metric = as_distance_matrix(metric)
         self._materialized = metric.matrix_view() is not None
@@ -188,8 +187,8 @@ class PreparedCorpus:
 
         shared_quality = quality
         if quality.is_modular and kernels.weights_view_of(quality) is None:
-            # Same hoist as solve_many: view-less modular families would pay
-            # one O(n) oracle sweep per query inside the kernels.
+            # View-less modular families would pay one O(n) oracle sweep
+            # per query inside the kernels; hoist the sweep out of the loop.
             weights = kernels.modular_weights(quality)
             try:
                 shared_quality = ModularFunction(weights)

@@ -344,3 +344,73 @@ class TestTickValidationRollsBack:
             pytest.skip("all sampled members had negligible weight")
         outcome = engine.apply_events(builder.build())
         assert outcome.metadata["planned_updates"] >= 1
+
+
+class TestSharedValidator:
+    """Both engines reject a malformed batch through one validator
+    (:meth:`EventBatch.validate` plus their own insert-payload check) before
+    any mutation: each batch below also carries a valid weight event, which
+    must not land.  A distance driven negative is caught only while the tick
+    applies, and must leave the weights unchanged all the same."""
+
+    N, P = 12, 4
+
+    @classmethod
+    def _engine(cls, kind):
+        from repro.dynamic.session import ShardedDynamicEngine
+
+        rng = np.random.default_rng(3)
+        points = rng.normal(size=(cls.N, 2))
+        weights = np.round(rng.uniform(1, 5, cls.N), 2)
+        if kind == "dense":
+            distances = np.linalg.norm(points[:, None] - points[None, :], axis=-1)
+            engine = DynamicDiversifier(weights, distances, cls.P)
+        else:
+            engine = ShardedDynamicEngine(points, weights, cls.P, shard_size=4)
+        retired = max(set(range(cls.N)) - engine.solution)
+        engine.apply_events(EventBatchBuilder().delete(retired).build())
+        return engine, retired
+
+    @classmethod
+    def _malformed(cls, case, kind, engine, retired):
+        live = [int(e) for e in engine.active_elements()]
+        builder = EventBatchBuilder().change_weight(live[0], 3.0)
+        if case == "retired-weight":
+            builder.change_weight(retired, 1.0)
+        elif case == "distance-out-of-range":
+            builder.change_distance(live[1], cls.N + 5, 0.5)
+        elif case == "duplicate-delete":
+            builder.delete(live[1]).delete(live[1])
+        elif case == "negative-distance":  # caught while applying the tick
+            builder.change_distance(live[1], live[2], -100.0)
+        elif case == "below-p":
+            for element in live[1 : len(live) - cls.P + 2]:
+                builder.delete(element)
+        elif kind == "dense":  # wrong insert payload: a point
+            builder.insert(1.0, point=np.zeros(2))
+        else:  # wrong insert payload: a distance row
+            builder.insert(1.0, distances=np.ones(engine.n))
+        return builder.build(), live[0]
+
+    @pytest.mark.parametrize("kind", ["dense", "sharded"])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "retired-weight",
+            "distance-out-of-range",
+            "duplicate-delete",
+            "below-p",
+            "wrong-insert-payload",
+            "negative-distance",
+        ],
+    )
+    def test_rejected_without_mutation(self, kind, case):
+        engine, retired = self._engine(kind)
+        batch, weighted = self._malformed(case, kind, engine, retired)
+        solution, active = engine.solution, engine.active_count
+        weight = engine.weight(weighted)
+        with pytest.raises(PerturbationError):
+            engine.apply_events(batch)
+        assert engine.solution == solution
+        assert engine.active_count == active
+        assert engine.weight(weighted) == weight

@@ -435,3 +435,72 @@ class TestRatioMaintenance:
             pytest.skip("element has zero weight")
         engine.apply(WeightDecrease(element, delta))
         assert engine.approximation_ratio() <= 3.0 + 1e-9
+
+
+class TestBestSwapBruteForce:
+    """``best_swap`` runs local search's swap scan; it must pick the move a
+    brute-force ``swap_gain`` loop over every (incoming, outgoing) pair picks."""
+
+    @staticmethod
+    def _reference_best_swap(objective, solution):
+        """The O(n·p) oracle loop: ``objective.swap_gain`` per pair."""
+        best = None
+        for incoming in range(objective.n):
+            if incoming in solution:
+                continue
+            for outgoing in sorted(solution):
+                gain = objective.swap_gain(solution, incoming, outgoing)
+                if gain > 0 and (best is None or gain > best[2]):
+                    best = (incoming, outgoing, gain)
+        return best
+
+    @staticmethod
+    def _objective(case, seed):
+        from repro.functions.facility_location import FacilityLocationFunction
+        from repro.metrics.euclidean import EuclideanMetric
+
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(30, 3))
+        quality = ModularFunction(rng.uniform(0.0, 5.0, size=30))
+        if case == "modular-matrix":
+            return Objective(quality, DistanceMatrix.from_points(points), 0.7)
+        if case == "facility-matrix":
+            metric = DistanceMatrix.from_points(points)
+            quality = FacilityLocationFunction.from_distances(metric.to_matrix())
+            return Objective(quality, metric, 0.7)
+        metric = EuclideanMetric(points)
+        assert metric.matrix_view() is None
+        return Objective(quality, metric, 0.7)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "case", ["modular-matrix", "facility-matrix", "modular-lazy"]
+    )
+    def test_matches_brute_force(self, monkeypatch, case, seed):
+        from repro.core import local_search as local_search_module
+
+        taken = set()
+        for name in ("_scan_swaps_kernel", "_scan_swaps_reference"):
+            scan = getattr(local_search_module, name)
+
+            def recording(*args, _scan=scan, _name=name, **kwargs):
+                taken.add(_name)
+                return _scan(*args, **kwargs)
+
+            monkeypatch.setattr(local_search_module, name, recording)
+        objective = self._objective(case, seed)
+        rng = np.random.default_rng(seed + 50)
+        solution = set(rng.choice(objective.n, size=6, replace=False).tolist())
+        move = best_swap(objective, solution)
+        expected = self._reference_best_swap(objective, solution)
+        # A random solution is not locally optimal, so both find a move.
+        assert move is not None and expected is not None
+        assert move[:2] == expected[:2] or move[2] == pytest.approx(
+            expected[2], abs=1e-9
+        )
+        true_gain = objective.swap_gain(solution, move[0], move[1])
+        assert move[2] == pytest.approx(true_gain, abs=1e-9)
+        if case == "modular-lazy":
+            assert taken == {"_scan_swaps_reference"}
+        else:
+            assert taken == {"_scan_swaps_kernel"}

@@ -197,6 +197,31 @@ class TestAnytimeDeadlines:
         assert result.metadata["phase"] == "shard_map"
         assert len(result.selected) <= 50
 
+    def test_sharded_deadline_in_shard_map_keeps_shard_winners(self):
+        # The deadline expires while the first shard sleeps, so the final
+        # stage runs with no budget left; the answer must still be the best
+        # shard winner set, not ∅.
+        from repro.data.synthetic import make_feature_instance
+
+        instance = make_feature_instance(2000, dimension=4, seed=3)
+        metric = SlowMetric(instance.metric, 0.3, only_in_workers=False)
+        result = solve_sharded(
+            instance.quality,
+            metric,
+            tradeoff=instance.tradeoff,
+            p=5,
+            shards=4,
+            deadline=0.1,
+        )
+        assert result.metadata["interrupted"] is True
+        assert result.metadata["phase"] == "shard_map"
+        assert 0 < len(result.selected) <= 5
+        objective = Objective(instance.quality, instance.metric, instance.tradeoff)
+        assert result.objective_value == pytest.approx(
+            objective.value(result.selected), abs=1e-9
+        )
+        assert result.objective_value > 0.0
+
     def test_interrupted_solution_is_prefix_of_full_run(self, objective):
         # An interrupted greedy must be a prefix of the uninterrupted order
         # (best-so-far, not an arbitrary subset).  Interrupt via a deadline
